@@ -41,6 +41,7 @@ struct Cell {
   std::uint64_t schedules_distributed = 0;
   std::uint64_t schedule_rows = 0;   // one per task under plan-delta rows
   std::uint64_t db_full_scans = 0;   // queries that degraded to O(table)
+  std::uint64_t rows_materialized = 0;  // rows copied out of the database
 };
 
 Cell RunCell(int phones_per_place, int threads) {
@@ -88,6 +89,8 @@ Cell RunCell(int phones_per_place, int threads) {
     cell.schedule_rows = schedules->size();
   }
   cell.db_full_scans = system.metrics().counter("db.full_scans").value();
+  cell.rows_materialized =
+      system.metrics().counter("db.rows_materialized").value();
   return cell;
 }
 
@@ -103,14 +106,16 @@ void PrintCellJson(const Cell& c, const char* indent, bool with_speedup,
       ", \"joins\": %llu, \"gain_evaluations\": %llu, "
       "\"gain_evaluations_per_join\": %.1f, "
       "\"schedules_distributed\": %llu, \"schedules_sent_per_join\": %.3f, "
-      "\"schedule_rows\": %llu, \"db_full_scans\": %llu}",
+      "\"schedule_rows\": %llu, \"db_full_scans\": %llu, "
+      "\"rows_materialized_per_join\": %.2f}",
       static_cast<unsigned long long>(c.joins),
       static_cast<unsigned long long>(c.gain_evaluations),
       static_cast<double>(c.gain_evaluations) / joins,
       static_cast<unsigned long long>(c.schedules_distributed),
       static_cast<double>(c.schedules_distributed) / joins,
       static_cast<unsigned long long>(c.schedule_rows),
-      static_cast<unsigned long long>(c.db_full_scans));
+      static_cast<unsigned long long>(c.db_full_scans),
+      static_cast<double>(c.rows_materialized) / joins);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@ Result<Table*> Database::CreateTable(Schema schema) {
   auto table = std::make_unique<Table>(std::move(schema));
   Table* ptr = table.get();
   ptr->set_full_scan_counter(full_scans_);
+  ptr->set_rows_materialized_counter(rows_materialized_);
   ptr->set_storage_faults(storage_faults_);
   tables_.emplace(name, std::move(table));
   return ptr;
@@ -20,7 +21,15 @@ void Database::AttachObservability(obs::MetricsRegistry* registry) {
                     ? nullptr
                     : &registry->counter("db.full_scans",
                                          obs::Sharding::kPerThread);
-  for (auto& [_, table] : tables_) table->set_full_scan_counter(full_scans_);
+  rows_materialized_ =
+      registry == nullptr
+          ? nullptr
+          : &registry->counter("db.rows_materialized",
+                               obs::Sharding::kPerThread);
+  for (auto& [_, table] : tables_) {
+    table->set_full_scan_counter(full_scans_);
+    table->set_rows_materialized_counter(rows_materialized_);
+  }
 }
 
 void Database::AttachStorageFaults(StorageFaultInjector* faults) {

@@ -38,9 +38,10 @@ class Database {
 
   Status DropTable(const std::string& name);
 
-  // Wire every table's full-scan counter to `registry` (the shared
-  // `db.full_scans` counter); tables created later inherit it. nullptr
-  // detaches. Call again after replacing the database by move (restore).
+  // Wire every table's full-scan and rows-materialized counters to
+  // `registry` (the shared `db.full_scans` and `db.rows_materialized`
+  // counters); tables created later inherit them. nullptr detaches. Call
+  // again after replacing the database by move (restore).
   void AttachObservability(obs::MetricsRegistry* registry);
 
   // Wire every table's write path to a storage fault injector (tables
@@ -51,6 +52,7 @@ class Database {
  private:
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   obs::Counter* full_scans_ = nullptr;  // not owned; nullable
+  obs::Counter* rows_materialized_ = nullptr;  // not owned; nullable
   StorageFaultInjector* storage_faults_ = nullptr;  // not owned; nullable
 };
 

@@ -151,6 +151,7 @@ std::optional<Row> Table::FindByKey(const Value& key) const {
   std::shared_lock lock(mu_);
   auto it = pk_index_.find(key);
   if (it == pk_index_.end()) return std::nullopt;
+  CountMaterialized(1);
   return row_at(it->second);
 }
 
@@ -173,28 +174,31 @@ std::optional<Value> Table::MaxPrimaryKey() const {
 
 std::vector<Row> Table::FindWhereEq(const std::string& column,
                                     const Value& v) const {
+  std::vector<Row> out;
+  ForEachWhereEq(column, v, [&out](const Row& row) {
+    out.push_back(row);
+    return true;
+  });
+  CountMaterialized(out.size());
+  return out;
+}
+
+std::size_t Table::CountWhereEq(const std::string& column,
+                                const Value& v) const {
   std::shared_lock lock(mu_);
   const int ci = schema_.column_index(column);
-  std::vector<Row> out;
-  if (ci < 0) return out;
+  if (ci < 0) return 0;
   if (auto idx = secondary_.find(ci); idx != secondary_.end()) {
-    if (auto p = idx->second.find(v); p != idx->second.end()) {
-      out.reserve(p->second.size());
-      for (RowId id : p->second) out.push_back(row_at(id));
-    }
-    return out;
+    auto p = idx->second.find(v);
+    return p == idx->second.end() ? 0 : p->second.size();
   }
-  if (ci == schema_.primary_key) {
-    if (auto it = pk_index_.find(v); it != pk_index_.end())
-      out.push_back(row_at(it->second));
-    return out;
-  }
+  if (ci == schema_.primary_key) return pk_index_.contains(v) ? 1 : 0;
   CountFullScan();
+  std::size_t n = 0;
   for (const auto& slot : slots_) {
-    if (slot.has_value() && (*slot)[static_cast<std::size_t>(ci)] == v)
-      out.push_back(*slot);
+    if (slot.has_value() && (*slot)[static_cast<std::size_t>(ci)] == v) ++n;
   }
-  return out;
+  return n;
 }
 
 std::vector<Row> Table::Scan(const Predicate& pred) const {
@@ -204,6 +208,7 @@ std::vector<Row> Table::Scan(const Predicate& pred) const {
   for (const auto& slot : slots_) {
     if (slot.has_value() && (!pred || pred(*slot))) out.push_back(*slot);
   }
+  CountMaterialized(out.size());
   return out;
 }
 

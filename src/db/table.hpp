@@ -94,6 +94,11 @@ class Table {
   [[nodiscard]] std::vector<Row> FindWhereEq(const std::string& column,
                                              const Value& v) const;
 
+  // Number of rows with `column == v`, copying none: the postings size on
+  // an indexed column, a counted full walk otherwise.
+  [[nodiscard]] std::size_t CountWhereEq(const std::string& column,
+                                         const Value& v) const;
+
   // Filtered scan (all rows if pred is empty).
   [[nodiscard]] std::vector<Row> Scan(const Predicate& pred = {}) const;
 
@@ -172,6 +177,15 @@ class Table {
   // (the default) disables counting.
   void set_full_scan_counter(obs::Counter* counter) { full_scans_ = counter; }
 
+  // Observability hook: every row copied out to the caller (FindByKey,
+  // FindWhereEq, Scan, ScanOrderedBy) bumps this counter by one, so a hot
+  // path that materializes O(table) rows shows up in
+  // `db.rows_materialized` even when an index serves it. Visitors and
+  // ReadCell copy no rows and count nothing. nullptr disables counting.
+  void set_rows_materialized_counter(obs::Counter* counter) {
+    rows_materialized_ = counter;
+  }
+
   // Storage fault hook (docs/robustness.md): when set, Insert/Upsert ask
   // the injector whether the write fails before touching any state, so an
   // injected failure is indistinguishable from a clean rejection. nullptr
@@ -199,6 +213,10 @@ class Table {
   void CountFullScan() const {
     if (full_scans_ != nullptr) full_scans_->Inc();
   }
+  void CountMaterialized(std::size_t rows) const {
+    if (rows_materialized_ != nullptr && rows != 0)
+      rows_materialized_->Inc(rows);
+  }
   // Shared checks for the in-place contract; returns the error or Ok.
   [[nodiscard]] Status CheckInPlaceColumn(int column, const Value& v) const;
 
@@ -223,6 +241,7 @@ class Table {
   // column index → (value → sorted row ids); non-unique secondary indexes.
   std::unordered_map<int, SecondaryIndex> secondary_;
   obs::Counter* full_scans_ = nullptr;  // not owned; nullable
+  obs::Counter* rows_materialized_ = nullptr;  // not owned; nullable
   StorageFaultInjector* storage_faults_ = nullptr;  // not owned; nullable
 };
 

@@ -429,10 +429,17 @@ Message MobileFrontend::HandleMessage(const Message& m) {
       }
     }
     // New or refreshed schedule. On refresh, drop instants that are already
-    // in the past so re-planning never re-executes old work.
+    // in the past so re-planning never re-executes old work. The past ends
+    // at the last tick, or later for a task that already ran this tick: in
+    // immediate mode a refresh can answer this tick's own upload (the
+    // post-restart resync push), after the task executed its instants up
+    // to now.
+    SimTime past = last_tick_;
+    if (auto old = tasks_.find(sched->task); old != tasks_.end())
+      past = std::max(past, old->second.ran_through());
     std::vector<SimTime> instants;
     for (SimTime t : sched->instants) {
-      if (t > last_tick_) instants.push_back(t);
+      if (t > past) instants.push_back(t);
     }
     ++stats_.schedules_received;
     if (obs_.schedules_received != nullptr) obs_.schedules_received->Inc();

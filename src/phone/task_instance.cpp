@@ -70,6 +70,7 @@ std::vector<ReadingTuple> TaskInstance::RunDue(
     SimTime now, sensors::SensorManager& sensors,
     const LocalPreferenceManager& prefs) {
   std::vector<ReadingTuple> collected;
+  ran_through_ = std::max(ran_through_, now);
   if (status_ != TaskStatus::kRunning) return collected;
   while (next_instant_ < schedule_.size() &&
          schedule_[next_instant_] <= now) {

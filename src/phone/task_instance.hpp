@@ -85,6 +85,10 @@ class TaskInstance {
     return next_instant_ >= schedule_.size();
   }
 
+  // The `now` of the latest RunDue call: every scheduled instant at or
+  // before it has had its turn.
+  [[nodiscard]] SimTime ran_through() const { return ran_through_; }
+
  private:
   // Run the script once for the instant at `t`, collecting tuples.
   void ExecuteOnce(SimTime t, sensors::SensorManager& sensors,
@@ -96,6 +100,7 @@ class TaskInstance {
   script::Program program_;
   std::vector<SimTime> schedule_;  // sorted
   std::size_t next_instant_ = 0;
+  SimTime ran_through_;
   SimDuration sample_window_;
   int samples_per_window_;
   TaskStatus status_ = TaskStatus::kWaitingForSchedule;

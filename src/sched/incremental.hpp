@@ -109,8 +109,8 @@ class IncrementalPlanner {
   [[nodiscard]] std::size_t num_members() const {
     return member_commits_.size();
   }
-  // Registered members, ascending — the scheduler diffs this against the
-  // currently active participation set to detect leaves.
+  // Registered members, ascending. The scheduler keeps this equal to the
+  // app's active participation set after every plan (tests check that).
   [[nodiscard]] std::vector<std::int64_t> Members() const {
     std::vector<std::int64_t> out;
     out.reserve(member_commits_.size());

@@ -213,20 +213,28 @@ Result<TaskId> ParticipationManager::HandleRequest(
   // upload seqs restart at 1, so reusing the old task would let the dedup
   // index silently swallow every new upload. Finish the old participation
   // and fall through to open a fresh task. A LOWER incarnation is a stale
-  // install (e.g. a delayed duplicate) and is refused.
-  for (const ParticipationRecord& rec : ActiveForApp(app.id)) {
-    if (rec.user != req.user) continue;
-    if (req.incarnation == rec.incarnation) return rec.task;
-    if (req.incarnation < rec.incarnation)
+  // install (e.g. a delayed duplicate) and is refused. The user's own rows
+  // come from the user_id index, so the check never walks the app.
+  Table* parts = db_.table(db::tables::kParticipations);
+  std::optional<ParticipationRecord> open;
+  parts->ForEachWhereEq(
+      "user_id", Value(req.user.value()), [&](const Row& row) {
+        if (static_cast<std::uint64_t>(row[2].as_int()) != app.id.value() ||
+            !IsOpenStatus(row[6].as_text()))
+          return true;
+        open = RecordFromRow(row);
+        return false;
+      });
+  if (open.has_value()) {
+    if (req.incarnation == open->incarnation) return open->task;
+    if (req.incarnation < open->incarnation)
       return Error{Errc::kPermissionDenied,
                    "stale incarnation " + std::to_string(req.incarnation) +
-                       " for task " + rec.task.str()};
-    if (Status s = MarkFinished(rec.task, req.scan_time); !s.ok())
+                       " for task " + open->task.str()};
+    if (Status s = MarkFinished(open->task, req.scan_time); !s.ok())
       return s.error();
-    break;
   }
 
-  Table* parts = db_.table(db::tables::kParticipations);
   const TaskId task = ids_.next();
   Result<db::RowId> r = parts->Insert(
       {Value(task.value()), Value(req.user.value()), Value(app.id.value()),
@@ -235,28 +243,33 @@ Result<TaskId> ParticipationManager::HandleRequest(
        Value("waiting_for_schedule"), Value(req.scan_time.ms), Value(db::Null{}),
        Value(static_cast<std::int64_t>(req.incarnation))});
   if (!r.ok()) return r.error();
+  changed_[app.id.value()].insert(task.value());
   return task;
 }
 
-Status ParticipationManager::MarkRunning(TaskId task) {
+Status ParticipationManager::WriteStatus(TaskId task, std::string status,
+                                         std::optional<SimTime> leave) {
   Table* parts = db_.table(db::tables::kParticipations);
-  return parts->UpdateByKey(Value(task.value()),
-                            [](Row& row) { row[6] = Value("running"); });
+  std::uint64_t app = 0;
+  Status s = parts->UpdateByKey(Value(task.value()), [&](Row& row) {
+    app = static_cast<std::uint64_t>(row[2].as_int());
+    row[6] = Value(std::move(status));
+    if (leave.has_value()) row[8] = Value(leave->ms);
+  });
+  if (s.ok()) changed_[app].insert(task.value());
+  return s;
+}
+
+Status ParticipationManager::MarkRunning(TaskId task) {
+  return WriteStatus(task, "running");
 }
 
 Status ParticipationManager::MarkFinished(TaskId task, SimTime when) {
-  Table* parts = db_.table(db::tables::kParticipations);
-  return parts->UpdateByKey(Value(task.value()), [&](Row& row) {
-    row[6] = Value("finished");
-    row[8] = Value(when.ms);
-  });
+  return WriteStatus(task, "finished", when);
 }
 
 Status ParticipationManager::MarkError(TaskId task, const std::string& why) {
-  Table* parts = db_.table(db::tables::kParticipations);
-  return parts->UpdateByKey(Value(task.value()), [&](Row& row) {
-    row[6] = Value("error:" + why);
-  });
+  return WriteStatus(task, "error:" + why);
 }
 
 Status ParticipationManager::ConsumeBudget(TaskId task, int executions) {
@@ -288,8 +301,7 @@ std::vector<ParticipationRecord> ParticipationManager::ActiveForApp(
     AppId app) const {
   std::vector<ParticipationRecord> out;
   for (const ParticipationRecord& rec : AllForApp(app)) {
-    if (rec.status == "waiting_for_schedule" || rec.status == "running")
-      out.push_back(rec);
+    if (IsOpenStatus(rec.status)) out.push_back(rec);
   }
   return out;
 }
@@ -309,9 +321,20 @@ std::size_t ParticipationManager::TotalCount() const {
 
 std::size_t ParticipationManager::ActiveCount() const {
   const Table* parts = db_.table(db::tables::kParticipations);
-  // Both open statuses are indexed; counting two index hits beats a scan.
-  return parts->FindWhereEq("status", Value("waiting_for_schedule")).size() +
-         parts->FindWhereEq("status", Value("running")).size();
+  // Both open statuses are indexed: two postings sizes, no row copied.
+  return parts->CountWhereEq("status", Value("waiting_for_schedule")) +
+         parts->CountWhereEq("status", Value("running"));
+}
+
+const std::set<std::uint64_t>& ParticipationManager::ChangedTasks(
+    AppId app) const {
+  static const std::set<std::uint64_t> kNone;
+  auto it = changed_.find(app.value());
+  return it == changed_.end() ? kNone : it->second;
+}
+
+void ParticipationManager::ClearChanged(AppId app) {
+  changed_.erase(app.value());
 }
 
 void ParticipationManager::ResyncIds() {

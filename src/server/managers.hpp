@@ -5,8 +5,12 @@
 // the sensing server.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "codec/barcode.hpp"
@@ -126,6 +130,11 @@ struct ParticipationRecord {
   std::uint32_t incarnation = 1;
 };
 
+// The open statuses: a task in either one is active (it still senses).
+[[nodiscard]] inline bool IsOpenStatus(std::string_view status) {
+  return status == "waiting_for_schedule" || status == "running";
+}
+
 class ParticipationManager {
  public:
   ParticipationManager(db::Database& database, const SimClock& clock)
@@ -147,7 +156,9 @@ class ParticipationManager {
   Status ConsumeBudget(TaskId task, int executions);
 
   [[nodiscard]] Result<ParticipationRecord> Get(TaskId task) const;
-  // Active (not finished/error) participations of one application.
+  // Active (not finished/error) participations of one application. Copies
+  // every row the app ever had: for restore and verification passes only,
+  // never for a single join or leave.
   [[nodiscard]] std::vector<ParticipationRecord> ActiveForApp(AppId app) const;
   [[nodiscard]] std::vector<ParticipationRecord> AllForApp(AppId app) const;
 
@@ -157,13 +168,27 @@ class ParticipationManager {
   [[nodiscard]] std::size_t TotalCount() const;
   [[nodiscard]] std::size_t ActiveCount() const;
 
+  // Change feed for the scheduler: the tasks of `app` this manager inserted
+  // or whose status it wrote since the last ClearChanged(app), ascending.
+  // HandleRequest's insert and MarkRunning/MarkFinished/MarkError are the
+  // only writers of `status`, so every task that became active or inactive
+  // is in here. Read-only calls may run concurrently for different apps;
+  // writes and ClearChanged are serial.
+  [[nodiscard]] const std::set<std::uint64_t>& ChangedTasks(AppId app) const;
+  void ClearChanged(AppId app);
+
   // See UserInfoManager::ResyncIds.
   void ResyncIds();
 
  private:
+  // Status write on one row, recorded in the change feed on success.
+  Status WriteStatus(TaskId task, std::string status,
+                     std::optional<SimTime> leave = std::nullopt);
+
   db::Database& db_;
   const SimClock& clock_;
   IdGenerator<TaskId> ids_;
+  std::map<std::uint64_t, std::set<std::uint64_t>> changed_;  // app → tasks
 };
 
 }  // namespace sor::server

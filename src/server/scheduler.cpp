@@ -1,6 +1,7 @@
 #include "server/scheduler.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/log.hpp"
@@ -89,53 +90,53 @@ Result<SchedulePlan> SensingScheduler::PlanApp(
 
   SchedulePlan plan;
   plan.grid = planner.grid();
-
-  const std::vector<ParticipationRecord> active =
-      participations.ActiveForApp(app.id);
-  plan.active_count = active.size();
   const SimTime now = clock_.now();
 
-  // Diff the active set against the planner's members: unknown active tasks
-  // are joins, known members that are no longer active are leaves.
-  std::set<std::uint64_t> active_tasks;
-  std::map<std::uint64_t, const ParticipationRecord*> record_of;
-  std::vector<sched::IncrementalPlanner::Join> joins;
-  for (const ParticipationRecord& rec : active) {
-    active_tasks.insert(rec.task.value());
-    record_of.emplace(rec.task.value(), &rec);
-    if (planner.HasMember(static_cast<std::int64_t>(rec.task.value())))
-      continue;
-    sched::IncrementalPlanner::Join j;
-    j.member = static_cast<std::int64_t>(rec.task.value());
-    SimTime begin = rec.arrive;
-    if (online_aware_ && now > begin) begin = now;  // the past is gone
-    j.window = SimInterval{begin, rec.leave.value_or(app.spec.period.end)}
-                   .intersect(app.spec.period);
-    j.budget = rec.budget_left;
-    joins.push_back(j);
-  }
-  // ActiveForApp visits in insertion (≈ task-id) order; sort to make the
-  // single greedy run's matroid ordering independent of index internals.
-  std::sort(joins.begin(), joins.end(),
-            [](const auto& a, const auto& b) { return a.member < b.member; });
+  // The planner's members are exactly the tasks that were active at this
+  // app's last plan, so only tasks whose participation changed since then
+  // can differ: an active task the planner does not know is a join, an
+  // inactive member is a leave. Tasks awaiting a (re)send are read too —
+  // their dispatch needs the record, and one that closed drops out.
+  const std::set<std::uint64_t>& changed = participations.ChangedTasks(app.id);
+  std::vector<std::uint64_t> visit;
+  visit.reserve(changed.size() + st.unsent.size());
+  std::set_union(changed.begin(), changed.end(), st.unsent.begin(),
+                 st.unsent.end(), std::back_inserter(visit));
 
+  std::map<std::uint64_t, ParticipationRecord> active;
+  std::vector<sched::IncrementalPlanner::Join> joins;
   std::vector<sched::IncrementalPlanner::Leave> leaves;
-  for (std::int64_t member : planner.Members()) {
-    if (active_tasks.contains(static_cast<std::uint64_t>(member))) continue;
-    sched::IncrementalPlanner::Leave l;
-    l.member = member;
-    l.cutoff = now;
-    Result<ParticipationRecord> rec =
-        participations.Get(TaskId{static_cast<std::uint64_t>(member)});
-    if (rec.ok() && rec.value().leave.has_value())
-      l.cutoff = *rec.value().leave;
-    leaves.push_back(l);
+  for (std::uint64_t task : visit) {  // ascending: joins/leaves come sorted
+    Result<ParticipationRecord> rec = participations.Get(TaskId{task});
+    const auto member = static_cast<std::int64_t>(task);
+    if (!rec.ok() || !IsOpenStatus(rec.value().status)) {
+      if (!planner.HasMember(member)) continue;
+      sched::IncrementalPlanner::Leave l;
+      l.member = member;
+      l.cutoff = now;
+      if (rec.ok() && rec.value().leave.has_value())
+        l.cutoff = *rec.value().leave;
+      leaves.push_back(l);
+      continue;
+    }
+    if (!planner.HasMember(member)) {
+      sched::IncrementalPlanner::Join j;
+      j.member = member;
+      SimTime begin = rec.value().arrive;
+      if (online_aware_ && now > begin) begin = now;  // the past is gone
+      j.window =
+          SimInterval{begin, rec.value().leave.value_or(app.spec.period.end)}
+              .intersect(app.spec.period);
+      j.budget = rec.value().budget_left;
+      joins.push_back(j);
+    }
+    active.emplace(task, std::move(rec).value());
   }
+  if (delta_observer_) delta_observer_(app, planner, leaves, joins);
 
   // Tasks that stopped being active never get their pending re-send.
-  std::erase_if(st.unsent, [&](std::uint64_t t) {
-    return !active_tasks.contains(t);
-  });
+  std::erase_if(st.unsent,
+                [&](std::uint64_t t) { return !active.contains(t); });
 
   if (leaves.empty() && joins.empty() && st.unsent.empty()) {
     plan.empty = true;
@@ -145,6 +146,7 @@ Result<SchedulePlan> SensingScheduler::PlanApp(
   Result<sched::IncrementalPlanner::DeltaResult> delta =
       planner.ApplyDelta(leaves, joins);
   if (!delta.ok()) return delta.error();
+  plan.active_count = planner.num_members();
   plan.objective_delta = delta.value().objective;
   plan.gain_evaluations = delta.value().gain_evaluations;
   plan.total_coverage = planner.total_coverage();
@@ -159,7 +161,7 @@ Result<SchedulePlan> SensingScheduler::PlanApp(
     st.unsent.insert(static_cast<std::uint64_t>(j.member));
   for (std::uint64_t task : st.unsent) {
     SchedulePlan::Dispatch d;
-    d.rec = *record_of.at(task);
+    d.rec = active.at(task);
     d.picks = planner.PicksOf(static_cast<std::int64_t>(task));
     plan.dispatches.push_back(std::move(d));
   }
@@ -216,6 +218,10 @@ Status SensingScheduler::DistributePlan(const ApplicationRecord& app,
                                         ParticipationManager& participations,
                                         SimDuration sample_window,
                                         int samples_per_window) {
+  // PlanApp has consumed the app's change feed. Cleared here, serially,
+  // before any dispatch: a MarkError below is a change the NEXT plan must
+  // see (the refusing task leaves the planner then).
+  participations.ClearChanged(app.id);
   if (plan.empty) return Status::Ok();
   PlanState& st = plan_states_.at(app.id.value());
 
@@ -319,11 +325,14 @@ void SensingScheduler::ResyncIds() {
 
 void SensingScheduler::RebuildFromDb(
     const std::vector<ApplicationRecord>& apps,
-    const ParticipationManager& participations) {
+    ParticipationManager& participations) {
   plan_states_.clear();
   for (const ApplicationRecord& app : apps) {
     EnsurePlanState(app);
     PlanState& st = plan_states_.at(app.id.value());
+    // Members become exactly the active set below, so no earlier change
+    // is pending against the rebuilt planner.
+    participations.ClearChanged(app.id);
     // Active tasks are members even before their row is replayed (a task
     // planned with zero picks still has a row, but be tolerant of a
     // pre-distribution crash leaving an active task rowless — it will be

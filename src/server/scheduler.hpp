@@ -11,20 +11,22 @@
 // and store them into the database."
 //
 // Incremental replanning (docs/performance.md): the scheduler keeps one
-// IncrementalPlanner per app ALIVE across reschedules. A reschedule diffs
-// the active participation set against the planner's member set — users
-// seen for the first time are joins (placed against the residual coverage
-// in one warm-started greedy run), members no longer active are leaves
-// (their unexecuted picks die, their durable schedule row is pruned to the
-// executed prefix). Since placed picks never move, only the CHANGED tasks
-// are re-sent: a join pushes O(1) schedules instead of O(fleet), and the
-// schedules table holds one row per task instead of one per (task, replan).
-// `SchedulerOptions::incremental = false` keeps the cold-replan oracle:
-// every delta rebuilds the planner's derived state from its durable commit
-// log — identical picks and identical distribution by construction.
+// IncrementalPlanner per app ALIVE across reschedules. A reschedule reads
+// only the tasks the Participation Manager reports as changed since the
+// app's last plan (ParticipationManager::ChangedTasks) — an active task the
+// planner does not know is a join (placed against the residual coverage in
+// one warm-started greedy run), an inactive member is a leave (its
+// unexecuted picks die, its durable schedule row is pruned to the executed
+// prefix). Since placed picks never move, only the CHANGED tasks are
+// re-sent: a join reads and pushes O(1) schedules instead of O(fleet), and
+// the schedules table holds one row per task instead of one per (task,
+// replan). `SchedulerOptions::incremental = false` keeps the cold-replan
+// oracle: every delta rebuilds the planner's derived state from its durable
+// commit log — identical picks and identical distribution by construction.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -78,7 +80,7 @@ struct SchedulePlan {
   std::vector<std::pair<std::uint64_t, std::vector<sched::IncrementalPlanner::Pick>>>
       pruned;
   std::vector<SimTime> grid;
-  std::size_t active_count = 0;
+  std::size_t active_count = 0;  // planner members after the delta
   double objective_delta = 0.0;   // coverage added by this delta's joins
   double total_coverage = 0.0;    // Σ(1 − q) after the delta
   std::uint64_t gain_evaluations = 0;
@@ -121,17 +123,20 @@ class SensingScheduler {
   // before fanning PlanApp out to worker threads.
   void EnsurePlanState(const ApplicationRecord& app);
 
-  // Stage 1: diff participation against the planner's members and apply
-  // the delta. Safe to call concurrently for DIFFERENT apps once their
-  // states exist — it only touches this app's planner plus shared database
-  // reads.
+  // Stage 1: read the app's changed and unsent tasks (one keyed row each),
+  // derive the joins and leaves and apply the delta. Safe to call
+  // concurrently for DIFFERENT apps once their states exist — it only
+  // touches this app's planner plus shared reads of the database and of
+  // the change feed.
   [[nodiscard]] Result<SchedulePlan> PlanApp(
       const ApplicationRecord& app,
       const ParticipationManager& participations);
 
-  // Stage 2 (serial): persist the changed schedules, push them to the
-  // phones, update stats. Must run on one thread at a time; callers flush
-  // plans in ascending app-id order to keep the send stream deterministic.
+  // Stage 2 (serial): clear the app's change feed, persist the changed
+  // schedules, push them to the phones, update stats. Must run on one
+  // thread at a time, right after the app's PlanApp (no participation of
+  // the app may change in between); callers flush plans in ascending
+  // app-id order to keep the send stream deterministic.
   // In a running campaign this executes inside the epoch merge pass (a
   // join/leave delivered by the merge triggers the reschedule) or between
   // ticks — either way the phones are idle, so the synchronous push into
@@ -166,10 +171,22 @@ class SensingScheduler {
 
   // Snapshot restore: rebuild every app's planner from the schedules table
   // (the durable commit log — each row holds a task's surviving picks with
-  // their seqs) and the active participation set. Replaying the rows in seq
-  // order reproduces bitwise the planner state the snapshotted process held.
+  // their seqs) and the active participation set, and clear each app's
+  // change feed. Replaying the rows in seq order reproduces bitwise the
+  // planner state the snapshotted process held.
   void RebuildFromDb(const std::vector<ApplicationRecord>& apps,
-                     const ParticipationManager& participations);
+                     ParticipationManager& participations);
+
+  // Test hook: PlanApp reports every delta it derives, before applying it,
+  // while `planner` still holds the pre-delta members. Runs on the planning
+  // thread (a FlushReschedules worker when threads > 1). Empty by default.
+  using DeltaObserver = std::function<void(
+      const ApplicationRecord& app, const sched::IncrementalPlanner& planner,
+      const std::vector<sched::IncrementalPlanner::Leave>& leaves,
+      const std::vector<sched::IncrementalPlanner::Join>& joins)>;
+  void set_delta_observer(DeltaObserver observer) {
+    delta_observer_ = std::move(observer);
+  }
 
  private:
   // Per-app persistent planning state.
@@ -197,6 +214,7 @@ class SensingScheduler {
   std::map<std::uint64_t, PlanState> plan_states_;
   SchedulerStats stats_;
   IdGenerator<ScheduleId> schedule_ids_;
+  DeltaObserver delta_observer_;
 
   // Shared-telemetry handles (null until AttachObservability).
   obs::Tracer* tracer_ = nullptr;

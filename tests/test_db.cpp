@@ -436,6 +436,84 @@ TEST(Table, FullScanCounterTracksOnlyFullWalks) {
   EXPECT_EQ(counter.value(), 4u);
 }
 
+TEST(Table, CountWhereEqCopiesNoRows) {
+  Table t(PeopleSchema());
+  ASSERT_TRUE(t.CreateIndex("name").ok());
+  for (int i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(t.Insert({Value(i), Value(i % 2 == 0 ? "even" : "odd"),
+                          Value(1.0 * i), Value(i <= 2), Value()})
+                    .ok());
+  }
+  obs::Counter rows(obs::Sharding::kSingle);
+  obs::Counter scans(obs::Sharding::kSingle);
+  t.set_rows_materialized_counter(&rows);
+  t.set_full_scan_counter(&scans);
+  // Indexed and primary-key counts read postings only.
+  EXPECT_EQ(t.CountWhereEq("name", Value("odd")), 3u);
+  EXPECT_EQ(t.CountWhereEq("name", Value("even")), 2u);
+  EXPECT_EQ(t.CountWhereEq("name", Value("none")), 0u);
+  EXPECT_EQ(t.CountWhereEq("id", Value(4)), 1u);
+  EXPECT_EQ(t.CountWhereEq("id", Value(9)), 0u);
+  EXPECT_EQ(t.CountWhereEq("nope", Value(1)), 0u);
+  EXPECT_EQ(scans.value(), 0u);
+  // An unindexed column still counts correctly, as one counted walk.
+  EXPECT_EQ(t.CountWhereEq("active", Value(true)), 2u);
+  EXPECT_EQ(scans.value(), 1u);
+  EXPECT_EQ(rows.value(), 0u);
+  // Counts follow index maintenance on update and erase.
+  ASSERT_TRUE(
+      t.UpdateByKey(Value(1), [](Row& r) { r[1] = Value("even"); }).ok());
+  ASSERT_TRUE(t.EraseByKey(Value(3)).ok());
+  EXPECT_EQ(t.CountWhereEq("name", Value("odd")), 1u);
+  EXPECT_EQ(t.CountWhereEq("name", Value("even")), 3u);
+  EXPECT_EQ(t.CountWhereEq("name", Value("odd")),
+            t.FindWhereEq("name", Value("odd")).size());
+}
+
+TEST(Table, RowsMaterializedCountsCopiedRows) {
+  Table t(PeopleSchema());
+  ASSERT_TRUE(t.CreateIndex("name").ok());
+  for (int i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(t.Insert({Value(i), Value(i <= 3 ? "ann" : "bob"),
+                          Value(1.0 * i), Value(true), Value()})
+                    .ok());
+  }
+  obs::Counter rows(obs::Sharding::kSingle);
+  t.set_rows_materialized_counter(&rows);
+  // Visitors, cell reads and counts copy nothing.
+  t.ForEach([](const Row&) { return true; });
+  t.ForEachWhereEq("name", Value("ann"), [](const Row&) { return true; });
+  (void)t.ReadCell(Value(1), 2);
+  (void)t.CountWhereEq("name", Value("ann"));
+  EXPECT_EQ(rows.value(), 0u);
+  // Every copied-out row counts once, misses count nothing.
+  (void)t.FindByKey(Value(2));
+  (void)t.FindByKey(Value(99));
+  EXPECT_EQ(rows.value(), 1u);
+  (void)t.FindWhereEq("name", Value("ann"));   // indexed: 3
+  (void)t.FindWhereEq("score", Value(4.0));    // unindexed walk: 1
+  EXPECT_EQ(rows.value(), 5u);
+  (void)t.Scan();                                        // 4
+  (void)t.ScanOrderedBy("score", [](const Row& r) {      // 2, counted once
+    return r[0].as_int() <= 2;
+  });
+  EXPECT_EQ(rows.value(), 11u);
+  t.set_rows_materialized_counter(nullptr);
+  (void)t.Scan();
+  EXPECT_EQ(rows.value(), 11u);
+}
+
+TEST(Database, AttachObservabilityWiresRowsMaterialized) {
+  Database db;
+  MakeSorSchema(db);
+  obs::MetricsRegistry registry;
+  db.AttachObservability(&registry);
+  Table* users = db.table(tables::kUsers);
+  ASSERT_TRUE(users->Insert({Value(1), Value("ann"), Value("tok")}).ok());
+  (void)users->FindByKey(Value(1));
+  EXPECT_EQ(registry.counter("db.rows_materialized").value(), 1u);
+}
+
 TEST(Database, CreateLookupDrop) {
   Database db;
   ASSERT_TRUE(db.CreateTable(PeopleSchema()).ok());

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <variant>
@@ -335,7 +336,8 @@ struct FleetFixture {
     app = barcode.value().app;
   }
 
-  void Join(int i) {
+  // Returns the joined task and records its user for Leave.
+  TaskId Join(int i) {
     const std::string token = "tok-f" + std::to_string(i);
     UserId user =
         server.users().RegisterUser("user" + std::to_string(i), Token{token})
@@ -348,13 +350,27 @@ struct FleetFixture {
     req.location = GeoPoint{43.0, -76.0, 100};
     req.budget = 10;
     Result<Message> reply = net.Send("server", req);
-    ASSERT_TRUE(reply.ok()) << reply.error().str();
+    EXPECT_TRUE(reply.ok()) << reply.error().str();
+    if (!reply.ok()) return TaskId{};
+    const TaskId task = std::get<ParticipationReply>(reply.value()).task;
+    user_of[task.value()] = user;
+    return task;
+  }
+
+  void Leave(TaskId task) {
+    LeaveNotification note;
+    note.task = task;
+    note.user = user_of.at(task.value());
+    note.time = clock.now();
+    Result<Message> reply = net.Send("server", note);
+    EXPECT_TRUE(reply.ok()) << reply.error().str();
   }
 
   SimClock clock;
   net::LoopbackNetwork net;
   SensingServer server{ServerConfig{}, net, clock};
   std::vector<std::unique_ptr<AckPhone>> phones;
+  std::map<std::uint64_t, UserId> user_of;  // task → user
   AppId app;
 };
 
@@ -397,6 +413,53 @@ TEST(Perf, SchedulesSentAndRowsAreOJoinsNotOFleetSquared) {
   // not one new row per active user per replan.
   EXPECT_EQ(f.server.database().table(db::tables::kSchedules)->size(),
             static_cast<std::size_t>(kFleet));
+}
+
+// Rows copied out of the database by one join or one leave. The change-fed
+// scheduler reads a constant number of keyed rows per event (the app, the
+// user, the changed tasks: 3–4 today); diffing the whole participation set
+// copied every row the app ever had, O(fleet) per event. tools/ci.sh holds
+// scale_phones' campaign-wide rows_materialized_per_join (joins, leaves and
+// uploads together) under the same cap at 10k phones.
+constexpr std::uint64_t kMaxRowsMaterializedPerEvent = 32;
+
+TEST(Perf, JoinAndLeaveMaterializeO1Rows) {
+  struct EventRows {
+    std::uint64_t last_join = 0;
+    std::uint64_t first_leave = 0;  // the whole fleet still present
+    std::uint64_t last_leave = 0;   // every earlier task already finished
+  };
+  auto measure = [](int fleet) {
+    FleetFixture f(/*incremental=*/true);
+    obs::MetricsRegistry registry;
+    f.server.AttachObservability(&registry, nullptr);
+    const obs::Counter& rows = registry.counter("db.rows_materialized");
+    std::vector<TaskId> tasks;
+    EventRows out;
+    for (int i = 0; i < fleet; ++i) {
+      const std::uint64_t before = rows.value();
+      tasks.push_back(f.Join(i));
+      out.last_join = rows.value() - before;
+    }
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const std::uint64_t before = rows.value();
+      f.Leave(tasks[i]);
+      const std::uint64_t n = rows.value() - before;
+      if (i == 0) out.first_leave = n;
+      out.last_leave = n;
+    }
+    return out;
+  };
+  const EventRows small = measure(20);
+  const EventRows large = measure(400);
+  EXPECT_EQ(large.last_join, small.last_join);
+  EXPECT_EQ(large.first_leave, small.first_leave);
+  EXPECT_EQ(large.last_leave, small.last_leave);
+  for (std::uint64_t n : {large.last_join, large.first_leave,
+                          large.last_leave}) {
+    EXPECT_GT(n, 0u);  // the counter is live
+    EXPECT_LE(n, kMaxRowsMaterializedPerEvent);
+  }
 }
 
 // --- the db equality-scan gate ----------------------------------------------

@@ -266,6 +266,19 @@ class FakeServer final : public net::Endpoint {
         return EncodeFrame(ThrottleReply{upload->task.value(), upload->seq,
                                          throttle_retry_after_, 2});
       }
+      if (resync_on_upload_) {
+        // A restarted server's first contact with a task: re-push its
+        // stored schedule before answering (nested, like the daemon's
+        // relay push).
+        ScheduleDistribution sched;
+        sched.task = upload->task;
+        sched.app = AppId{5};
+        sched.script = "local xs = get_wifi_readings(2)";
+        sched.instants = {SimTime{10'000}, SimTime{20'000}};
+        sched.sample_window = SimDuration{1'000};
+        sched.samples_per_window = 2;
+        (void)net_.Send("phone:" + last_token_.value, sched);
+      }
       uploads_ += static_cast<int>(upload->batches.size());
       seqs_.push_back(upload->seq);
       // Echo the seq — the phone settles an upload only on a matching echo.
@@ -286,6 +299,7 @@ class FakeServer final : public net::Endpoint {
   int throttle_next_ = 0;  // refuse the next N uploads with ThrottleReply
   int throttles_sent_ = 0;
   SimDuration throttle_retry_after_{12'000};
+  bool resync_on_upload_ = false;  // re-push the schedule on every upload
   std::vector<std::uint64_t> seqs_;  // seq of every upload received
 };
 
@@ -581,6 +595,25 @@ TEST(Frontend, ScheduleRefreshDropsPastInstants) {
   // Only the 40 s instant survives (12 s is already in the past).
   EXPECT_EQ(task->schedule().size(), 1u);
   EXPECT_EQ(task->schedule()[0].ms, 40'000);
+}
+
+TEST(Frontend, ResyncPushDuringTheTicksUploadRerunsNothing) {
+  // The push arrives inside Tick, after the task already ran the 10 s
+  // instant this tick: the refreshed task must not run it a second time.
+  FrontendFixture f;
+  ASSERT_TRUE(f.frontend.ScanBarcode(TestBarcode(), 10).ok());
+  f.server.resync_on_upload_ = true;
+  f.clock.advance_to(SimTime{15'000});
+  f.frontend.Tick();
+  EXPECT_EQ(f.frontend.stats().schedules_received, 2u);
+  const TaskInstance* task = f.frontend.task(TaskId{77});
+  ASSERT_NE(task, nullptr);
+  ASSERT_EQ(task->schedule().size(), 1u);
+  EXPECT_EQ(task->schedule()[0].ms, 20'000);
+  f.server.resync_on_upload_ = false;
+  f.clock.advance_to(SimTime{30'000});
+  f.frontend.Tick();
+  EXPECT_EQ(f.server.uploads_, 2);  // one tuple per instant, none twice
 }
 
 TEST(Frontend, RejectsUnexpectedMessageTypes) {

@@ -211,7 +211,13 @@ echo "=== stage: 10k-phone scale smoke (O(delta) scheduling) ==="
 # the wall time: plan-delta distribution must send EXACTLY one schedule per
 # join (a fleet-wide redistribution would send ~fleet per join), and the
 # per-join gain-evaluation count must stay O(window+budget) — hundreds at
-# most, never the ~10k an O(fleet) replan would charge.
+# most, never the ~10k an O(fleet) replan would charge. Rows copied out of
+# the database per join (the campaign's total over its joins, so it also
+# carries each phone's uploads and leave) stay under the same constant cap
+# as Perf.JoinAndLeaveMaterializeO1Rows (kMaxRowsMaterializedPerEvent in
+# tests/test_perf.cpp); diffing the participation set per join would copy
+# thousands.
+ROWS_PER_JOIN_CAP=32
 if [[ -x build/bench/scale_phones ]]; then
   cell_json="$(build/bench/scale_phones --cell 3334 1)"
   echo "ci: ${cell_json}"
@@ -227,6 +233,15 @@ if [[ -x build/bench/scale_phones ]]; then
   if awk -v e="${evals_per_join}" 'BEGIN { exit !(e >= 1000) }'; then
     echo "ci: gain_evaluations_per_join=${evals_per_join} (want <1000) —" \
          "join replanning regressed toward O(fleet)" >&2
+    exit 1
+  fi
+  rows_per_join="$(sed -n 's/.*"rows_materialized_per_join": \([0-9.]*\).*/\1/p' \
+                   <<<"${cell_json}")"
+  if [[ -z "${rows_per_join}" ]] || awk -v r="${rows_per_join}" \
+       -v cap="${ROWS_PER_JOIN_CAP}" 'BEGIN { exit !(r > cap) }'; then
+    echo "ci: rows_materialized_per_join=${rows_per_join:-missing}" \
+         "(want <=${ROWS_PER_JOIN_CAP}) — joins regressed to copying" \
+         "O(fleet) rows" >&2
     exit 1
   fi
 else

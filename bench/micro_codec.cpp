@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "codec/barcode.hpp"
+#include "codec/crc32.hpp"
 #include "codec/messages.hpp"
 
 namespace {
@@ -48,6 +49,21 @@ void BM_DecodeUpload(benchmark::State& state) {
                           static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_DecodeUpload)->Arg(1)->Arg(10)->Arg(100);
+
+// CRC-32 over 64 B (a small reply frame), 1 KiB (a typical upload) and
+// 64 KiB (a snapshot-sized payload).
+void BM_Crc32(benchmark::State& state) {
+  sor::Bytes data(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  for (auto _ : state) {
+    const std::uint32_t crc = sor::Crc32(data);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(64 * 1024);
 
 void BM_BarcodeRenderScan(benchmark::State& state) {
   sor::BarcodePayload p;

@@ -1,15 +1,40 @@
 #include "codec/bytes.hpp"
 
+#include <array>
 #include <cstring>
 
 namespace sor {
 
+namespace {
+
+// Fixed-width fields are little-endian on the wire whatever the host byte
+// order; these shifts compile to one load or store on little-endian hosts.
+template <typename T>
+void StoreLe(T v, std::uint8_t* out) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+template <typename T>
+T LoadLe(const std::uint8_t* in) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    v |= static_cast<T>(in[i]) << (8 * i);
+  return v;
+}
+
+}  // namespace
+
 void ByteWriter::u32_fixed(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
+  std::array<std::uint8_t, 4> word{};
+  StoreLe(v, word.data());
+  buf_.insert(buf_.end(), word.begin(), word.end());
 }
 
 void ByteWriter::u64_fixed(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
+  std::array<std::uint8_t, 8> word{};
+  StoreLe(v, word.data());
+  buf_.insert(buf_.end(), word.begin(), word.end());
 }
 
 void ByteWriter::varint(std::uint64_t v) {
@@ -51,15 +76,23 @@ std::uint8_t ByteReader::u8() {
 }
 
 std::uint32_t ByteReader::u32_fixed() {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-  return ok_ ? v : 0;
+  if (!ok_ || remaining() < 4) {
+    fail();
+    return 0;
+  }
+  const auto v = LoadLe<std::uint32_t>(data_.data() + pos_);
+  pos_ += 4;
+  return v;
 }
 
 std::uint64_t ByteReader::u64_fixed() {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-  return ok_ ? v : 0;
+  if (!ok_ || remaining() < 8) {
+    fail();
+    return 0;
+  }
+  const auto v = LoadLe<std::uint64_t>(data_.data() + pos_);
+  pos_ += 8;
+  return v;
 }
 
 std::uint64_t ByteReader::varint() {
@@ -94,26 +127,24 @@ double ByteReader::f64() {
 }
 
 std::string ByteReader::str() {
-  const std::uint64_t len = varint();
-  if (!ok_ || len > remaining()) {
-    fail();
-    return {};
-  }
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_),
-                static_cast<std::size_t>(len));
-  pos_ += static_cast<std::size_t>(len);
-  return s;
+  const std::span<const std::uint8_t> b = blob_view();
+  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
 Bytes ByteReader::blob() {
+  const std::span<const std::uint8_t> b = blob_view();
+  return Bytes(b.begin(), b.end());
+}
+
+std::span<const std::uint8_t> ByteReader::blob_view() {
   const std::uint64_t len = varint();
   if (!ok_ || len > remaining()) {
     fail();
     return {};
   }
-  Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-          data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += static_cast<std::size_t>(len);
+  const std::span<const std::uint8_t> b =
+      data_.subspan(pos_, static_cast<std::size_t>(len));
+  pos_ += b.size();
   return b;
 }
 

@@ -61,6 +61,9 @@ class ByteReader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
   [[nodiscard]] Bytes blob();
+  // Same as blob(), but a view into the reader's input instead of a copy;
+  // valid as long as that input is.
+  [[nodiscard]] std::span<const std::uint8_t> blob_view();
   [[nodiscard]] bool boolean() { return u8() != 0; }
 
   // Mark the stream malformed (e.g. a field decoded to an out-of-range

@@ -315,7 +315,7 @@ Bytes EncodeFrame(const Message& m) {
   return frame.take();
 }
 
-Result<Message> DecodeFrame(std::span<const std::uint8_t> frame) {
+Result<FrameView> SplitFrame(std::span<const std::uint8_t> frame) {
   if (frame.size() < 9) return Error{Errc::kDecodeError, "frame too short"};
   // CRC covers everything except the trailing 4 bytes.
   const auto payload = frame.first(frame.size() - 4);
@@ -328,13 +328,19 @@ Result<Message> DecodeFrame(std::span<const std::uint8_t> frame) {
   if (r.u32_fixed() != kMagic)
     return Error{Errc::kDecodeError, "bad magic"};
   const std::uint8_t type_raw = r.u8();
-  const Bytes body = r.blob();
+  const std::span<const std::uint8_t> body = r.blob_view();
   if (!r.ok() || !r.at_end())
     return Error{Errc::kDecodeError, "malformed frame"};
   if (type_raw < 1 ||
       type_raw > static_cast<std::uint8_t>(MessageType::kThrottleReply))
     return Error{Errc::kDecodeError, "unknown message type"};
-  return DecodeBody(static_cast<MessageType>(type_raw), body);
+  return FrameView{static_cast<MessageType>(type_raw), body};
+}
+
+Result<Message> DecodeFrame(std::span<const std::uint8_t> frame) {
+  Result<FrameView> view = SplitFrame(frame);
+  if (!view.ok()) return view.error();
+  return DecodeBody(view.value().type, view.value().body);
 }
 
 }  // namespace sor

@@ -193,6 +193,17 @@ void EncodeBody(const Message& m, ByteWriter& w);
 [[nodiscard]] Bytes EncodeFrame(const Message& m);
 [[nodiscard]] Result<Message> DecodeFrame(std::span<const std::uint8_t> frame);
 
+// A frame whose envelope checked out (length, CRC, magic, type): its
+// message type and a view of its body inside the frame's own bytes.
+struct FrameView {
+  MessageType type;
+  std::span<const std::uint8_t> body;
+};
+// Validate the envelope without decoding or copying the body; DecodeFrame
+// is SplitFrame followed by DecodeBody. The view lives as long as `frame`.
+[[nodiscard]] Result<FrameView> SplitFrame(
+    std::span<const std::uint8_t> frame);
+
 // Reading-batch (de)serialization is also used standalone by the Data
 // Processor when decoding blobs pulled back out of the database.
 void EncodeReadingTuple(const ReadingTuple& r, ByteWriter& w);

@@ -369,9 +369,11 @@ void MobileFrontend::Tick() {
                     /*fresh=*/false);
   }
 
+  bool sensed = false;
   for (auto& [id, task] : tasks_) {
     std::vector<ReadingTuple> collected = task.RunDue(now, sensors_, prefs_);
     if (collected.empty()) continue;
+    sensed = true;
     const std::uint64_t seq = next_seq_++;
     if (obs_.tuples_collected != nullptr)
       obs_.tuples_collected->Inc(collected.size());
@@ -384,7 +386,21 @@ void MobileFrontend::Tick() {
     }
     SendUploadAsync(id, seq, std::move(collected), 0, /*fresh=*/true);
   }
+  if (sensed) sensors_.TrimToHorizon(SensingHorizon(now));
   last_tick_ = now;
+}
+
+SimTime MobileFrontend::SensingHorizon(SimTime now) const {
+  // A schedule that arrives after this tick keeps only instants after
+  // `now` (see HandleMessage). One that arrived during it, for a task the
+  // loop above had already passed, may still hold instants in (last tick,
+  // now]: those run next tick and ask for times before `now`.
+  SimTime horizon = now;
+  for (const auto& [id, task] : tasks_) {
+    if (std::optional<SimTime> next = task.next_instant())
+      horizon = std::min(horizon, *next);
+  }
+  return horizon;
 }
 
 const TaskInstance* MobileFrontend::task(TaskId id) const {

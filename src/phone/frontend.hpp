@@ -174,6 +174,9 @@ class MobileFrontend final : public net::Endpoint {
 
   [[nodiscard]] Message HandleMessage(const Message& m);
   [[nodiscard]] GeoPoint ReportedLocation();
+  // The earliest sample time any acquisition after the tick at `now` can
+  // request; Tick trims the sensor buffers to it.
+  [[nodiscard]] SimTime SensingHorizon(SimTime now) const;
   // Send one upload via SendAsync and settle it in the completion callback:
   // an Ack echoing `seq` lands it; a ThrottleReply echoing `seq` paces the
   // queue and re-queues at the hinted time (admission refused, data intact,

@@ -82,103 +82,128 @@ std::vector<ReadingTuple> TaskInstance::RunDue(
   return collected;
 }
 
+thread_local const TaskInstance::Execution* TaskInstance::current_ = nullptr;
+
+namespace {
+thread_local std::uint64_t host_tables_built = 0;
+}  // namespace
+
+std::uint64_t TaskInstance::host_tables_built_on_this_thread() {
+  return host_tables_built;
+}
+
+const script::HostRegistry& TaskInstance::ThreadHostTable() {
+  // Built on the thread's first execution and kept for its lifetime; every
+  // entry reads the running execution through current_, so no entry holds
+  // a task, phone or instant of its own.
+  static thread_local const script::HostRegistry table = [] {
+    ++host_tables_built;
+    script::HostRegistry host;
+    script::InstallStdlib(host);
+
+    // Introspection: scripts can adapt to where they are in the task
+    // (e.g. take a final long GPS trace on the last scheduled instant).
+    host.Register("get_time_s",
+                  [](std::span<const script::Value>) -> Result<script::Value> {
+                    return script::Value(current_->t.seconds());
+                  });
+    host.Register("get_sample_window_s",
+                  [](std::span<const script::Value>) -> Result<script::Value> {
+                    return script::Value(
+                        current_->task.sample_window_.seconds());
+                  });
+    host.Register("get_remaining_instants",
+                  [](std::span<const script::Value>) -> Result<script::Value> {
+                    const TaskInstance& task = current_->task;
+                    return script::Value(static_cast<double>(
+                        task.schedule_.size() - task.next_instant_ - 1));
+                  });
+    for (const script::analysis::HostSignature& sig :
+         script::analysis::HostSignatures()) {
+      if (!sig.sensor.has_value()) continue;
+      const SensorKind kind = *sig.sensor;
+      host.Register(std::string(sig.name),
+                    [kind](std::span<const script::Value> args)
+                        -> Result<script::Value> {
+                      return current_->task.Acquire(*current_, kind, args);
+                    });
+    }
+    return host;
+  }();
+  return table;
+}
+
 void TaskInstance::ExecuteOnce(SimTime t, sensors::SensorManager& sensors,
                                const LocalPreferenceManager& prefs,
                                std::vector<ReadingTuple>& out) {
   ++stats_.executions;
 
-  // Bind the acquisition vocabulary to this execution: each call acquires
-  // `samples_per_window_` readings within [t, t+Δt], records the (t, Δt, d)
-  // tuple for upload, and hands the values back to the script.
-  script::HostRegistry host;
-  script::InstallStdlib(host);
-
-  // Introspection: scripts can adapt to where they are in the task
-  // (e.g. take a final long GPS trace on the last scheduled instant).
-  host.Register("get_time_s",
-                [t](std::span<const script::Value>) -> Result<script::Value> {
-                  return script::Value(t.seconds());
-                });
-  host.Register("get_sample_window_s",
-                [this](std::span<const script::Value>)
-                    -> Result<script::Value> {
-                  return script::Value(sample_window_.seconds());
-                });
-  host.Register("get_remaining_instants",
-                [this](std::span<const script::Value>)
-                    -> Result<script::Value> {
-                  return script::Value(static_cast<double>(
-                      schedule_.size() - next_instant_ - 1));
-                });
-  for (const script::analysis::HostSignature& sig :
-       script::analysis::HostSignatures()) {
-    if (!sig.sensor.has_value()) continue;
-    const SensorKind kind = *sig.sensor;
-    host.Register(
-        std::string(sig.name),
-        [this, kind, t, &sensors, &prefs,
-         &out](std::span<const script::Value> args)
-            -> Result<script::Value> {
-          int samples = samples_per_window_;
-          if (!args.empty() && args[0].is_number())
-            samples = std::max(1, static_cast<int>(args[0].as_number()));
-          // Optional second argument: a per-call window override in seconds.
-          // Trail scripts use it to spread GPS fixes far enough apart that
-          // the curvature estimate is geometry- rather than noise-driven.
-          SimDuration window = sample_window_;
-          if (args.size() >= 2 && args[1].is_number() &&
-              args[1].as_number() > 0)
-            window = SimDuration::FromSeconds(args[1].as_number());
-
-          if (!prefs.Allows(kind)) {
-            ++stats_.denied;
-            // Denied sensors yield an empty list rather than aborting the
-            // whole script: partial participation is better than none.
-            return script::Value::MakeList();
-          }
-          sensors::AcquireRequest req{t, window, samples};
-          Result<std::vector<sensors::Reading>> readings =
-              sensors.Acquire(kind, req);
-          if (!readings.ok()) {
-            ++stats_.failed;
-            SOR_LOG(kDebug, "task",
-                    "acquisition failed: " << readings.error().str());
-            return script::Value::MakeList();
-          }
-          ++stats_.acquisitions;
-
-          ReadingTuple tuple;
-          tuple.kind = kind;
-          tuple.t = t;
-          tuple.dt = window;
-          script::List values;
-          for (const sensors::Reading& r : readings.value()) {
-            tuple.values.push_back(r.value);
-            values.emplace_back(r.value);
-            if (r.location.has_value()) {
-              GeoPoint loc = *r.location;
-              if (prefs.coarse_location()) {
-                // Snap to a ~1 km grid (0.01 degrees): coarse mode.
-                loc.lat_deg = std::round(loc.lat_deg * 100.0) / 100.0;
-                loc.lon_deg = std::round(loc.lon_deg * 100.0) / 100.0;
-              }
-              tuple.locations.push_back(loc);
-            }
-          }
-          out.push_back(std::move(tuple));
-          return script::Value(std::make_shared<script::List>(
-              std::move(values)));
-        });
-  }
-
-  script::Interpreter interp(host);
+  // Bind the thread's host table to this execution for the script's run.
+  const Execution execution{*this, t, sensors, prefs, out};
+  current_ = &execution;
+  script::Interpreter interp(ThreadHostTable());
   Result<script::ExecutionResult> r = interp.Execute(program_);
+  current_ = nullptr;
   if (!r.ok()) {
     ++stats_.script_errors;
     last_error_ = r.error().str();
     status_ = TaskStatus::kError;
     SOR_LOG(kWarn, "task", "script failed: " << last_error_);
   }
+}
+
+script::Value TaskInstance::Acquire(const Execution& e, SensorKind kind,
+                                    std::span<const script::Value> args) {
+  // Each call acquires `samples_per_window_` readings within [t, t+Δt],
+  // records the (t, Δt, d) tuple for upload, and hands the values back to
+  // the script.
+  int samples = samples_per_window_;
+  if (!args.empty() && args[0].is_number())
+    samples = std::max(1, static_cast<int>(args[0].as_number()));
+  // Optional second argument: a per-call window override in seconds.
+  // Trail scripts use it to spread GPS fixes far enough apart that the
+  // curvature estimate is geometry- rather than noise-driven.
+  SimDuration window = sample_window_;
+  if (args.size() >= 2 && args[1].is_number() && args[1].as_number() > 0)
+    window = SimDuration::FromSeconds(args[1].as_number());
+
+  if (!e.prefs.Allows(kind)) {
+    ++stats_.denied;
+    // Denied sensors yield an empty list rather than aborting the whole
+    // script: partial participation is better than none.
+    return script::Value::MakeList();
+  }
+  sensors::AcquireRequest req{e.t, window, samples};
+  Result<std::vector<sensors::Reading>> readings =
+      e.sensors.Acquire(kind, req);
+  if (!readings.ok()) {
+    ++stats_.failed;
+    SOR_LOG(kDebug, "task",
+            "acquisition failed: " << readings.error().str());
+    return script::Value::MakeList();
+  }
+  ++stats_.acquisitions;
+
+  ReadingTuple tuple;
+  tuple.kind = kind;
+  tuple.t = e.t;
+  tuple.dt = window;
+  script::List values;
+  for (const sensors::Reading& r : readings.value()) {
+    tuple.values.push_back(r.value);
+    values.emplace_back(r.value);
+    if (r.location.has_value()) {
+      GeoPoint loc = *r.location;
+      if (e.prefs.coarse_location()) {
+        // Snap to a ~1 km grid (0.01 degrees): coarse mode.
+        loc.lat_deg = std::round(loc.lat_deg * 100.0) / 100.0;
+        loc.lon_deg = std::round(loc.lon_deg * 100.0) / 100.0;
+      }
+      tuple.locations.push_back(loc);
+    }
+  }
+  e.out.push_back(std::move(tuple));
+  return script::Value(std::make_shared<script::List>(std::move(values)));
 }
 
 }  // namespace sor::phone

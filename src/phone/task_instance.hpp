@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,11 +91,43 @@ class TaskInstance {
   // before it has had its turn.
   [[nodiscard]] SimTime ran_through() const { return ran_through_; }
 
+  // The earliest instant this task will still execute, if any: nothing it
+  // acquires later starts before it.
+  [[nodiscard]] std::optional<SimTime> next_instant() const {
+    if (status_ != TaskStatus::kRunning || AllInstantsDone())
+      return std::nullopt;
+    return schedule_[next_instant_];
+  }
+
+  // How many times the calling thread has built its host-function table.
+  // The table is built once per thread and shared by every task that
+  // thread executes, so this stays at most 1.
+  [[nodiscard]] static std::uint64_t host_tables_built_on_this_thread();
+
  private:
+  // What the thread's host table is bound to while one scheduled instant
+  // executes.
+  struct Execution {
+    TaskInstance& task;
+    SimTime t;
+    sensors::SensorManager& sensors;
+    const LocalPreferenceManager& prefs;
+    std::vector<ReadingTuple>& out;
+  };
+
   // Run the script once for the instant at `t`, collecting tuples.
   void ExecuteOnce(SimTime t, sensors::SensorManager& sensors,
                    const LocalPreferenceManager& prefs,
                    std::vector<ReadingTuple>& out);
+  // The host-function table of the calling thread: the stdlib, the
+  // introspection calls and one acquisition function per sensor, all
+  // reading the Execution that `current_` points at.
+  [[nodiscard]] static const script::HostRegistry& ThreadHostTable();
+  // One acquisition call from the script of `e`.
+  [[nodiscard]] script::Value Acquire(const Execution& e, SensorKind kind,
+                                      std::span<const script::Value> args);
+
+  static thread_local const Execution* current_;
 
   TaskId id_;
   AppId app_;

@@ -49,4 +49,8 @@ Result<std::vector<Reading>> SensorManager::Acquire(SensorKind kind,
   return it->second->Acquire(req);
 }
 
+void SensorManager::TrimToHorizon(SimTime horizon) {
+  for (auto& [kind, provider] : providers_) provider->TrimToHorizon(horizon);
+}
+
 }  // namespace sor::sensors

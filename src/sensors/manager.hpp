@@ -39,6 +39,10 @@ class SensorManager {
 
   [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
 
+  // No later acquisition asks for a sample time before `horizon`: let every
+  // provider drop the buffered readings that only such a request could use.
+  void TrimToHorizon(SimTime horizon);
+
  private:
   std::unordered_map<SensorKind, std::unique_ptr<Provider>> providers_;
   std::uint64_t timeouts_ = 0;

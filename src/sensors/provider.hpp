@@ -53,6 +53,10 @@ class Provider {
   }
 
   [[nodiscard]] virtual const ProviderStats& stats() const = 0;
+
+  // Promise that no later Acquire asks for a sample time before `horizon`;
+  // a buffering provider drops what no such request could reuse.
+  virtual void TrimToHorizon(SimTime horizon) { (void)horizon; }
 };
 
 // Common buffering machinery for all concrete providers.
@@ -68,8 +72,13 @@ class BufferedProvider : public Provider {
       const AcquireRequest& req) override;
   [[nodiscard]] const ProviderStats& stats() const override { return stats_; }
 
-  // Drop buffered readings older than `before` (called opportunistically).
+  // Drop buffered readings older than `before`.
   void TrimBuffer(SimTime before);
+  // A request for sample time w reuses readings no older than
+  // w - freshness, so readings before horizon - freshness are dead.
+  void TrimToHorizon(SimTime horizon) override {
+    TrimBuffer(horizon - freshness_);
+  }
 
   [[nodiscard]] std::size_t buffer_size() const { return buffer_.size(); }
 

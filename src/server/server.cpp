@@ -215,7 +215,10 @@ Result<int> SensingServer::VerifyParticipants(AppId app_id) {
 Bytes SensingServer::HandleFrame(std::span<const std::uint8_t> frame) {
   ++stats_.requests_handled;
   if (obs_.requests_handled != nullptr) obs_.requests_handled->Inc();
-  Result<Message> decoded = DecodeFrame(frame);
+  Result<FrameView> split = SplitFrame(frame);
+  Result<Message> decoded =
+      split.ok() ? DecodeBody(split.value().type, split.value().body)
+                 : Result<Message>(split.error());
   if (!decoded.ok()) {
     ++stats_.decode_failures;
     if (obs_.decode_failures != nullptr) obs_.decode_failures->Inc();
@@ -223,14 +226,15 @@ Bytes SensingServer::HandleFrame(std::span<const std::uint8_t> frame) {
         ErrorReply{static_cast<std::uint8_t>(decoded.error().code),
                    decoded.error().message});
   }
-  return EncodeFrame(HandleMessage(decoded.value()));
+  return EncodeFrame(HandleMessage(decoded.value(), split.value().body));
 }
 
-Message SensingServer::HandleMessage(const Message& m) {
+Message SensingServer::HandleMessage(const Message& m,
+                                     std::span<const std::uint8_t> body) {
   if (const auto* req = std::get_if<ParticipationRequest>(&m))
     return OnParticipation(*req);
   if (const auto* upload = std::get_if<SensedDataUpload>(&m))
-    return OnUpload(*upload);
+    return OnUpload(*upload, body);
   if (const auto* note = std::get_if<LeaveNotification>(&m))
     return OnLeave(*note);
   if (std::get_if<PingReply>(&m) != nullptr) return Ack{};
@@ -279,7 +283,8 @@ Message SensingServer::OnParticipation(const ParticipationRequest& req) {
   return ParticipationReply{task.value(), true, ""};
 }
 
-Message SensingServer::OnUpload(const SensedDataUpload& upload) {
+Message SensingServer::OnUpload(const SensedDataUpload& upload,
+                                std::span<const std::uint8_t> body) {
   Result<ParticipationRecord> rec = parts_.Get(upload.task);
   if (!rec.ok())
     return ErrorReply{static_cast<std::uint8_t>(Errc::kNotFound),
@@ -329,13 +334,11 @@ Message SensingServer::OnUpload(const SensedDataUpload& upload) {
 
   // "it will directly store the binary message body into the database,
   // which will be processed later by the Data Processor."
-  ByteWriter body;
-  EncodeBody(Message(upload), body);
   db::Table* raw = db_.table(db::tables::kRawData);
   const std::uint64_t raw_id = raw_ids_.next().value();
   Result<db::RowId> stored = raw->Insert(
       {db::Value(raw_id), db::Value(upload.task.value()),
-       db::Value(rec.value().app.value()), db::Value(body.take()),
+       db::Value(rec.value().app.value()), db::Value(Bytes(body.begin(), body.end())),
        db::Value(clock_.now().ms), db::Value(false),
        db::Value(static_cast<std::int64_t>(upload.seq))});
   if (!stored.ok()) {

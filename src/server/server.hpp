@@ -161,9 +161,13 @@ class SensingServer final : public net::Endpoint {
   [[nodiscard]] Bytes HandleFrame(std::span<const std::uint8_t> frame) override;
 
  private:
-  [[nodiscard]] Message HandleMessage(const Message& m);
+  // `body` is the frame's body bytes as received (see SplitFrame).
+  [[nodiscard]] Message HandleMessage(const Message& m,
+                                      std::span<const std::uint8_t> body);
   [[nodiscard]] Message OnParticipation(const ParticipationRequest& req);
-  [[nodiscard]] Message OnUpload(const SensedDataUpload& upload);
+  // Stores `body`, the upload's bytes as received, in raw_data.
+  [[nodiscard]] Message OnUpload(const SensedDataUpload& upload,
+                                 std::span<const std::uint8_t> body);
   [[nodiscard]] Message OnLeave(const LeaveNotification& note);
   // First post-restart contact from a task whose app still needs a schedule
   // re-push: reschedule the app (which redistributes to all of its phones).

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <span>
 
 #include "codec/bytes.hpp"
 #include "codec/crc32.hpp"
@@ -141,6 +143,74 @@ TEST(Crc32, SensitiveToEveryByte) {
   }
 }
 
+// The textbook byte-at-a-time CRC-32, kept here as the reference the
+// slice-by-8 Crc32 must match bit for bit.
+std::uint32_t ReferenceCrc32(std::span<const std::uint8_t> data) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) crc = table[(crc ^ b) & 0xffu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesByteWiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..1024 at every start offset 0..7, so each split between
+  // the 8-byte main loop and the byte-wise tail, and every alignment of
+  // the word loads, is covered.
+  Rng rng(20241017);
+  Bytes buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const auto data = all.subspan(offset, len);
+      ASSERT_EQ(Crc32(data), ReferenceCrc32(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Bytes, FixedWidthFieldsAreLittleEndian) {
+  ByteWriter w;
+  w.u32_fixed(0x04030201u);
+  w.u64_fixed(0x0c0b0a0908070605ull);
+  const Bytes want = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  EXPECT_EQ(w.bytes(), want);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.u32_fixed(), 0x04030201u);
+  EXPECT_EQ(r.u64_fixed(), 0x0c0b0a0908070605ull);
+  EXPECT_TRUE(r.finish().ok());
+}
+
+TEST(Bytes, TruncatedFixedWidthReadsFailAndStick) {
+  const Bytes three = {1, 2, 3};
+  ByteReader r32(three);
+  EXPECT_EQ(r32.u32_fixed(), 0u);
+  EXPECT_FALSE(r32.ok());
+  EXPECT_EQ(r32.u8(), 0u);  // sticks
+  const Bytes seven = {1, 2, 3, 4, 5, 6, 7};
+  ByteReader r64(seven);
+  EXPECT_EQ(r64.u64_fixed(), 0u);
+  EXPECT_FALSE(r64.ok());
+}
+
+TEST(Bytes, BlobViewPointsIntoTheInput) {
+  ByteWriter w;
+  w.blob(Bytes{7, 8, 9});
+  w.u8(42);
+  ByteReader r(w.bytes());
+  const std::span<const std::uint8_t> view = r.blob_view();
+  ASSERT_EQ(view.size(), 3u);
+  EXPECT_EQ(view.data(), w.bytes().data() + 1);  // no copy
+  EXPECT_EQ(view[2], 9);
+  EXPECT_EQ(r.u8(), 42);
+  EXPECT_TRUE(r.finish().ok());
+}
+
 // --- message round-trips -----------------------------------------------------
 
 Message SampleParticipation() {
@@ -216,6 +286,32 @@ TEST(Messages, ScheduleInstantsDeltaEncodingPreservesOrder) {
   Result<Message> decoded = DecodeFrame(EncodeFrame(s));
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(std::get<ScheduleDistribution>(decoded.value()) == s);
+}
+
+TEST(Messages, SplitFrameReturnsTheBodyInPlace) {
+  for (const Message& m : AllSampleMessages()) {
+    const Bytes frame = EncodeFrame(m);
+    Result<FrameView> view = SplitFrame(frame);
+    ASSERT_TRUE(view.ok()) << to_string(TypeOf(m));
+    EXPECT_EQ(view.value().type, TypeOf(m));
+    ByteWriter body;
+    EncodeBody(m, body);
+    EXPECT_TRUE(std::ranges::equal(view.value().body, body.bytes()));
+    // The body is a view into the frame: header before it, CRC after.
+    EXPECT_GE(view.value().body.data(), frame.data() + 5);
+    EXPECT_EQ(view.value().body.data() + view.value().body.size(),
+              frame.data() + frame.size() - 4);
+  }
+}
+
+TEST(Messages, SplitFrameRejectsWhatDecodeFrameRejects) {
+  Bytes corrupt = EncodeFrame(SampleUpload());
+  corrupt[corrupt.size() / 2] ^= 0x01;
+  EXPECT_EQ(SplitFrame(corrupt).code(), Errc::kDecodeError);
+  Bytes magic = EncodeFrame(Ack{1});
+  magic[0] ^= 0xff;
+  EXPECT_EQ(SplitFrame(magic).code(), Errc::kDecodeError);
+  EXPECT_EQ(SplitFrame(Bytes{1, 2, 3}).code(), Errc::kDecodeError);
 }
 
 TEST(Messages, CorruptedFrameRejected) {

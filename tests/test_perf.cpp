@@ -15,9 +15,18 @@
 #include <variant>
 #include <vector>
 
+#include <thread>
+
+#include "codec/barcode.hpp"
 #include "common/features.hpp"
+#include "core/fleet.hpp"
 #include "obs/metrics.hpp"
+#include "phone/frontend.hpp"
+#include "phone/task_instance.hpp"
+#include "sensors/providers.hpp"
 #include "server/server.hpp"
+#include "world/phone_agent.hpp"
+#include "world/scenarios.hpp"
 
 namespace sor::server {
 namespace {
@@ -460,6 +469,118 @@ TEST(Perf, JoinAndLeaveMaterializeO1Rows) {
     EXPECT_GT(n, 0u);  // the counter is live
     EXPECT_LE(n, kMaxRowsMaterializedPerEvent);
   }
+}
+
+// --- the phone's sensing tick --------------------------------------------
+
+TEST(Perf, ScriptExecutionsBuildTheHostTableOncePerThread) {
+  // The host-function table (stdlib, introspection and one acquisition
+  // function per sensor) is built once per thread and re-pointed at each
+  // execution; rebuilding it per scheduled instant was the phone tick's
+  // largest cost. Two tasks on two phones share the fresh thread's table.
+  constexpr int kInstants = 50;
+  std::uint64_t builds = 0;
+  std::uint64_t executions = 0;
+  std::thread worker([&] {
+    struct ConstantEnvironment final : sensors::SensorEnvironment {
+      double Sample(SensorKind, SimTime t) override { return t.seconds(); }
+      GeoPoint Position(SimTime) override { return {43.0, -76.0, 99.0}; }
+    } env;
+    sensors::BluetoothLink link;
+    link.Pair();
+    std::vector<SimTime> schedule;
+    for (int i = 1; i <= kInstants; ++i) schedule.push_back(SimTime{i * 1'000});
+    for (int phone = 0; phone < 2; ++phone) {
+      sensors::SensorManager sensors;
+      sensors.RegisterProvider(
+          sensors::MakeProvider(SensorKind::kMicrophone, env, link));
+      phone::LocalPreferenceManager prefs;
+      phone::TaskInstance task(TaskId{static_cast<std::uint64_t>(phone + 1)},
+                               AppId{1}, "local xs = get_noise_readings(3)",
+                               schedule, SimDuration{1'000}, 3);
+      (void)task.RunDue(SimTime{kInstants * 1'000}, sensors, prefs);
+      executions += task.stats().executions;
+    }
+    builds = phone::TaskInstance::host_tables_built_on_this_thread();
+  });
+  worker.join();
+  EXPECT_EQ(executions, 2u * kInstants);
+  EXPECT_LE(builds, 1u);
+}
+
+TEST(Perf, SensorBuffersStayBoundedOverAFullTrailCampaign) {
+  // The §V-A trail field test at one phone per trail over its full three
+  // hours (1080 ticks). Each tick that sensed trims every provider's shared
+  // buffer to what a later acquisition could still reuse, so the largest
+  // buffer is set by sampling windows and freshness, not by how long the
+  // campaign has run: 22 readings here, against 560 when nothing trims.
+  constexpr std::size_t kMaxBufferedReadings = 64;
+  const world::Scenario sc = [] {
+    world::Scenario s = world::MakeHikingTrailScenario();
+    s.phones_per_place = 1;
+    return s;
+  }();
+  SimClock clock;
+  net::LoopbackNetwork net;
+  net.set_clock(&clock);
+  SensingServer server{ServerConfig{}, net, clock};
+  core::FleetPlanParams params;
+  params.n_instants = 1080;
+  const core::FleetPlan plan = core::PlanFleet(sc, params);
+  std::vector<BitMatrix> barcodes;
+  for (const ApplicationSpec& spec : plan.app_specs) {
+    Result<BarcodePayload> barcode = server.DeployApplication(spec);
+    ASSERT_TRUE(barcode.ok()) << barcode.error().str();
+    barcodes.push_back(RenderBarcodeMatrix(barcode.value()));
+  }
+  std::vector<std::unique_ptr<world::PhoneAgent>> agents;
+  std::vector<std::unique_ptr<phone::MobileFrontend>> phones;
+  for (const core::PhonePlan& ph : plan.phones) {
+    Result<UserId> user = server.users().RegisterUser(ph.user_name, ph.token);
+    ASSERT_TRUE(user.ok());
+    world::PhoneAgentConfig agent_cfg;
+    agent_cfg.id = PhoneId{ph.seq};
+    agent_cfg.mobility = world::Mobility::kTrailWalk;
+    agent_cfg.seed = ph.agent_seed;
+    agents.push_back(std::make_unique<world::PhoneAgent>(
+        sc.places[ph.place_index], agent_cfg));
+    phone::FrontendConfig cfg;
+    cfg.phone_id = agent_cfg.id;
+    cfg.user_id = user.value();
+    cfg.user_name = ph.user_name;
+    cfg.token = ph.token;
+    phones.push_back(std::make_unique<phone::MobileFrontend>(
+        cfg, net, *agents.back(), clock));
+    ASSERT_TRUE(
+        phones.back()->ScanBarcodeMatrix(barcodes[ph.place_index], 40).ok());
+  }
+
+  const int ticks = static_cast<int>(
+      SimTime::FromSeconds(sc.period_s).ms / SimDuration{10'000}.ms);
+  ASSERT_EQ(ticks, 1080);
+  std::size_t peak = 0;
+  std::uint64_t acquisitions = 0;
+  for (int i = 0; i < ticks; ++i) {
+    clock.advance(SimDuration{10'000});
+    for (auto& p : phones) {
+      p->Tick();
+      for (int k = 0; k < kSensorKindCount; ++k) {
+        const auto* provider = static_cast<const sensors::BufferedProvider*>(
+            p->sensor_manager().provider(static_cast<SensorKind>(k)));
+        peak = std::max(peak, provider->buffer_size());
+      }
+    }
+  }
+  for (auto& p : phones) {
+    for (int k = 0; k < kSensorKindCount; ++k)
+      acquisitions += p->sensor_manager()
+                          .provider(static_cast<SensorKind>(k))
+                          ->stats()
+                          .physical_acquisitions;
+  }
+  EXPECT_GT(server.stats().uploads_stored, 0u);
+  EXPECT_GT(acquisitions, 10 * kMaxBufferedReadings);  // far more than kept
+  EXPECT_LT(peak, kMaxBufferedReadings);
 }
 
 // --- the db equality-scan gate ----------------------------------------------

@@ -279,6 +279,12 @@ class FakeServer final : public net::Endpoint {
         sched.samples_per_window = 2;
         (void)net_.Send("phone:" + last_token_.value, sched);
       }
+      if (push_on_upload_.has_value()) {
+        // A schedule for another task, pushed while this upload is in
+        // flight (a server replanning as it ingests).
+        (void)net_.Send("phone:" + last_token_.value, *push_on_upload_);
+        push_on_upload_.reset();
+      }
       uploads_ += static_cast<int>(upload->batches.size());
       seqs_.push_back(upload->seq);
       // Echo the seq — the phone settles an upload only on a matching echo.
@@ -300,6 +306,7 @@ class FakeServer final : public net::Endpoint {
   int throttles_sent_ = 0;
   SimDuration throttle_retry_after_{12'000};
   bool resync_on_upload_ = false;  // re-push the schedule on every upload
+  std::optional<ScheduleDistribution> push_on_upload_;  // sent once
   std::vector<std::uint64_t> seqs_;  // seq of every upload received
 };
 
@@ -614,6 +621,47 @@ TEST(Frontend, ResyncPushDuringTheTicksUploadRerunsNothing) {
   f.clock.advance_to(SimTime{30'000});
   f.frontend.Tick();
   EXPECT_EQ(f.server.uploads_, 2);  // one tuple per instant, none twice
+}
+
+TEST(Frontend, ScheduleLandingInsideTheTickKeepsItsReadingsBuffered) {
+  // Task 77 runs its 10 s instant in the tick at 15 s; wifi readings at
+  // 10 s and 11 s enter the shared buffer (wifi freshness 3 s). Its upload
+  // brings a schedule for task 76, which sorts before 77 and so does not
+  // run in this tick: its 11 s instant runs next tick, below "now". The
+  // tick's trim must keep the readings that instant reuses; trimming to
+  // now - freshness (12 s) would drop both and force two physical reads.
+  FrontendFixture f;
+  ASSERT_TRUE(f.frontend.ScanBarcode(TestBarcode(), 10).ok());
+  ScheduleDistribution other;
+  other.task = TaskId{76};
+  other.app = AppId{5};
+  other.script = "local xs = get_wifi_readings(2)";
+  other.instants = {SimTime{11'000}};
+  other.sample_window = SimDuration{1'000};
+  other.samples_per_window = 2;
+  f.server.push_on_upload_ = other;
+  const auto* wifi = static_cast<const sensors::BufferedProvider*>(
+      f.frontend.sensor_manager().provider(SensorKind::kWifi));
+  ASSERT_NE(wifi, nullptr);
+
+  f.clock.advance_to(SimTime{15'000});
+  f.frontend.Tick();
+  ASSERT_NE(f.frontend.task(TaskId{76}), nullptr);
+  EXPECT_EQ(f.frontend.task(TaskId{76})->stats().executions, 0u);
+  EXPECT_EQ(wifi->stats().physical_acquisitions, 2u);
+  EXPECT_EQ(wifi->buffer_size(), 2u);
+
+  f.clock.advance_to(SimTime{30'000});
+  f.frontend.Tick();
+  EXPECT_EQ(f.frontend.task(TaskId{76})->stats().acquisitions, 1u);
+  // Task 76's two samples came from the buffer; only task 77's 20 s
+  // instant touched the sensor.
+  EXPECT_EQ(wifi->stats().buffered_hits, 2u);
+  EXPECT_EQ(wifi->stats().physical_acquisitions, 4u);
+  EXPECT_EQ(f.server.uploads_, 3);
+  // With every instant run, the trim leaves only what a request after
+  // 30 s could reuse.
+  EXPECT_EQ(wifi->buffer_size(), 0u);
 }
 
 TEST(Frontend, RejectsUnexpectedMessageTypes) {

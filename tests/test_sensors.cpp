@@ -3,6 +3,10 @@
 // and the SensorManager's routing + timeout cancellation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "common/rng.hpp"
 #include "sensors/manager.hpp"
 #include "sensors/providers.hpp"
 
@@ -89,6 +93,89 @@ TEST(BufferedProvider, TrimBufferDropsOldReadings) {
   EXPECT_EQ(p.buffer_size(), 4u);
   p.TrimBuffer(SimTime{900});
   EXPECT_EQ(p.buffer_size(), 1u);
+}
+
+TEST(BufferedProvider, TrimToHorizonKeepsWhatAFreshnessAwayRequestReuses) {
+  FakeEnvironment env;
+  EmbeddedProvider p(SensorKind::kLight, env);  // freshness 3 s
+  ASSERT_TRUE(p.Acquire({SimTime{0}, SimDuration{9'000}, 4}).ok());
+  ASSERT_EQ(p.buffer_size(), 4u);  // readings at 0, 3, 6 and 9 s
+  p.TrimToHorizon(SimTime{6'000});
+  EXPECT_EQ(p.buffer_size(), 3u);  // 3 s is still reusable at t = 6 s
+  ASSERT_TRUE(p.Acquire({SimTime{6'000}, SimDuration{0}, 1}).ok());
+  EXPECT_EQ(p.stats().buffered_hits, 1u);
+}
+
+// Lockstep: a provider trimmed after every simulated tick must answer a
+// seeded stream of acquisitions exactly like one that never trims, for
+// every sensor kind (each with its own freshness), as long as no request
+// asks for a time before the horizon it was trimmed to.
+TEST(BufferedProvider, TrimmingIsInvisibleToLaterAcquisitions) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (int k = 0; k < kSensorKindCount; ++k) {
+      const auto kind = static_cast<SensorKind>(k);
+      FakeEnvironment env;
+      BluetoothLink link;
+      link.Pair();
+      std::unique_ptr<Provider> trimmed = MakeProvider(kind, env, link);
+      std::unique_ptr<Provider> kept = MakeProvider(kind, env, link);
+      Rng rng(seed * 100 + static_cast<std::uint64_t>(k));
+      SimTime horizon{0};
+      std::size_t trimmed_peak = 0;
+      for (int tick = 0; tick < 400; ++tick) {
+        const int requests = static_cast<int>(rng.uniform_int(0, 3));
+        for (int i = 0; i < requests; ++i) {
+          // Some requests sit exactly on the horizon, the earliest time a
+          // request may ask for.
+          const SimTime t =
+              rng.chance(0.25)
+                  ? horizon
+                  : horizon + SimDuration{rng.uniform_int(0, 20'000)};
+          const AcquireRequest req{t, SimDuration{rng.uniform_int(0, 10'000)},
+                                   static_cast<int>(rng.uniform_int(1, 6))};
+          Result<std::vector<Reading>> a = trimmed->Acquire(req);
+          Result<std::vector<Reading>> b = kept->Acquire(req);
+          ASSERT_TRUE(a.ok() && b.ok()) << to_string(kind);
+          ASSERT_EQ(a.value().size(), b.value().size());
+          for (std::size_t j = 0; j < a.value().size(); ++j) {
+            EXPECT_EQ(a.value()[j].time, b.value()[j].time);
+            EXPECT_EQ(a.value()[j].value, b.value()[j].value);
+          }
+        }
+        ASSERT_EQ(trimmed->stats().physical_acquisitions,
+                  kept->stats().physical_acquisitions)
+            << to_string(kind) << " seed " << seed << " tick " << tick;
+        ASSERT_EQ(trimmed->stats().buffered_hits, kept->stats().buffered_hits);
+        horizon = horizon + SimDuration{rng.uniform_int(0, 10'000)};
+        trimmed->TrimToHorizon(horizon);
+        trimmed_peak = std::max(
+            trimmed_peak,
+            static_cast<BufferedProvider&>(*trimmed).buffer_size());
+      }
+      // The trimmed buffer stays a window, the untrimmed one a history.
+      EXPECT_LT(trimmed_peak,
+                static_cast<BufferedProvider&>(*kept).buffer_size())
+          << to_string(kind);
+    }
+  }
+}
+
+TEST(Manager, TrimToHorizonReachesEveryProvider) {
+  FakeEnvironment env;
+  BluetoothLink link;
+  link.Pair();
+  SensorManager manager;
+  manager.RegisterProvider(MakeProvider(SensorKind::kLight, env, link));
+  manager.RegisterProvider(MakeProvider(SensorKind::kWifi, env, link));
+  for (SensorKind kind : {SensorKind::kLight, SensorKind::kWifi})
+    ASSERT_TRUE(manager.Acquire(kind, {SimTime{0}, SimDuration{0}, 1}).ok());
+  manager.TrimToHorizon(SimTime{60'000});
+  for (SensorKind kind : {SensorKind::kLight, SensorKind::kWifi}) {
+    EXPECT_EQ(
+        static_cast<BufferedProvider*>(manager.provider(kind))->buffer_size(),
+        0u)
+        << to_string(kind);
+  }
 }
 
 TEST(GpsProvider, ReadingsCarryLocationFixes) {

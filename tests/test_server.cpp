@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "common/features.hpp"
+#include "phone/frontend.hpp"
 #include "server/server.hpp"
 #include "server/coverage_report.hpp"
 #include "server/json_export.hpp"
@@ -499,6 +500,95 @@ TEST(ServerEndToEnd, MalformedFrameAnsweredWithError) {
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(std::holds_alternative<ErrorReply>(reply.value()));
   EXPECT_EQ(f.server.stats().decode_failures, 1u);
+}
+
+// Sits in front of the server and keeps every frame it forwards.
+class RecordingRelay final : public net::Endpoint {
+ public:
+  RecordingRelay(net::LoopbackNetwork& net, SensingServer& server)
+      : net_(net), server_(server) {
+    net_.Register("relay", this);
+  }
+  ~RecordingRelay() override { net_.Unregister("relay"); }
+
+  Bytes HandleFrame(std::span<const std::uint8_t> frame) override {
+    frames_.emplace_back(frame.begin(), frame.end());
+    return server_.HandleFrame(frame);
+  }
+
+  net::LoopbackNetwork& net_;
+  SensingServer& server_;
+  std::vector<Bytes> frames_;
+};
+
+class ConstantEnvironment final : public sensors::SensorEnvironment {
+ public:
+  double Sample(SensorKind kind, SimTime t) override {
+    return static_cast<double>(static_cast<int>(kind)) + t.seconds() * 1e-3;
+  }
+  GeoPoint Position(SimTime) override { return GeoPoint{43.0, -76.0, 100.0}; }
+};
+
+TEST(ServerEndToEnd, RawDataHoldsTheUploadBodyAsReceived) {
+  // "it will directly store the binary message body into the database":
+  // each raw_data blob is the body of the frame the phone sent, which is
+  // also EncodeBody of the decoded upload, byte for byte.
+  ServerFixture f;
+  f.net.set_clock(&f.clock);
+  RecordingRelay relay(f.net, f.server);
+  Result<BarcodePayload> barcode = f.server.DeployApplication(TestAppSpec());
+  ASSERT_TRUE(barcode.ok());
+  BarcodePayload payload = barcode.value();
+  payload.server = "relay";
+  const UserId user =
+      f.server.users().RegisterUser("alice", Token{"tok-a"}).value();
+  ConstantEnvironment env;
+  phone::MobileFrontend phone(
+      phone::FrontendConfig{PhoneId{1}, user, "alice", Token{"tok-a"}, true},
+      f.net, env, f.clock);
+  ASSERT_TRUE(phone.ScanBarcode(payload, 6).ok());
+  for (int i = 0; i < 60; ++i) {
+    f.clock.advance(SimDuration{10'000});
+    phone.Tick();
+  }
+
+  std::vector<Bytes> sent_bodies;
+  for (const Bytes& frame : relay.frames_) {
+    Result<FrameView> view = SplitFrame(frame);
+    ASSERT_TRUE(view.ok());
+    if (view.value().type == MessageType::kSensedDataUpload)
+      sent_bodies.emplace_back(view.value().body.begin(),
+                               view.value().body.end());
+  }
+  const db::Table* raw = f.server.database().table(db::tables::kRawData);
+  const std::vector<db::Row> rows = raw->ScanOrderedBy("raw_id");
+  ASSERT_EQ(rows.size(), 6u);  // one upload per budgeted instant
+  ASSERT_EQ(rows.size(), sent_bodies.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const db::Blob& blob = rows[i][3].as_blob();
+    EXPECT_EQ(blob, sent_bodies[i]) << "row " << i;
+    Result<Message> decoded = DecodeBody(MessageType::kSensedDataUpload, blob);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().str();
+    ByteWriter reencoded;
+    EncodeBody(decoded.value(), reencoded);
+    EXPECT_EQ(blob, reencoded.bytes()) << "row " << i;
+  }
+
+  // A frame whose body was damaged in transit is refused before anything
+  // reaches raw_data.
+  Bytes corrupt;
+  for (const Bytes& frame : relay.frames_) {
+    if (SplitFrame(frame).value().type == MessageType::kSensedDataUpload)
+      corrupt = frame;
+  }
+  ASSERT_FALSE(corrupt.empty());
+  corrupt[corrupt.size() - 6] ^= 0x10;  // inside the body, before the CRC
+  const std::uint64_t failures = f.server.stats().decode_failures;
+  Result<Message> reply = DecodeFrame(f.server.HandleFrame(corrupt));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_TRUE(std::holds_alternative<ErrorReply>(reply.value()));
+  EXPECT_EQ(f.server.stats().decode_failures, failures + 1);
+  EXPECT_EQ(raw->size(), rows.size());
 }
 
 // --- DataProcessor ---------------------------------------------------------------

@@ -1,24 +1,19 @@
-// micro_script — what a SenseScript run costs per engine.
+// micro_script — what a SenseScript run costs on a phone.
 //
-// One JSON object on stdout comparing the three execution paths a phone
-// (or embedder) can pick from, on two workloads:
+// One JSON object on stdout for the one executor a phone has, the
+// optimized IR, on two workloads:
 //
 //   * sensing        — the shape of a real sensing task: one acquisition,
 //                      a reduction loop over the samples, two stdlib calls
 //   * loop_heavy_10k — a 10'000-iteration arithmetic loop, the worst case
 //                      the analyzer's step budget is protecting against
 //
-// Engines:
-//
-//   * ast    — the tree-walking interpreter (the phone's default)
-//   * ir     — lower to the basic-block IR, execute unoptimized
-//   * ir_opt — constant propagation + CheckDef elision + DCE first
-//
-// The ir columns exclude lowering (a schedule executes one script many
-// instants, so lowering amortizes to zero); parse/lower/optimize one-shot
-// costs are reported separately. Loop timings use steady_clock around a
-// fixed iteration count with an empty-asm sink, same discipline as
-// micro_db. BENCH_micro_script.json records a blessed run.
+// A task compiles its script once (parse + lower + optimize, reported as
+// one one-shot cost) and executes the module at every scheduled instant
+// (the per-run cost, with the AST steps each run retires). Loop timings
+// use steady_clock around a fixed iteration count with an empty-asm sink,
+// same discipline as micro_db. BENCH_micro_script.json records a blessed
+// run.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -26,7 +21,6 @@
 #include <thread>
 
 #include "script/analysis/passes.hpp"
-#include "script/interpreter.hpp"
 #include "script/ir/exec.hpp"
 #include "script/ir/lower.hpp"
 #include "script/parser.hpp"
@@ -80,74 +74,41 @@ script::HostRegistry MakeHost() {
   return host;
 }
 
-struct EngineCosts {
-  double ast_ns = 0;
-  double ir_ns = 0;
-  double ir_opt_ns = 0;
+// Parse + lower + optimize: the compile each task does once, inside its
+// static analysis.
+script::ir::Module Compile(const char* source) {
+  script::ir::Module mod = script::ir::Lower(script::Parse(source).value());
+  script::analysis::OptimizeModule(mod);
+  return mod;
+}
+
+double BenchCompile(const char* source, std::uint64_t iters) {
+  auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    auto mod = Compile(source);
+    Sink(mod.functions.size());
+  }
+  return NsPerOp(t0, Clock::now(), iters);
+}
+
+struct RunCost {
+  double ns = 0;
+  std::uint64_t steps = 0;
 };
 
-EngineCosts BenchEngines(const char* source, const script::HostRegistry& host,
-                         std::uint64_t iters) {
-  const script::Program program = script::Parse(source).value();
+RunCost BenchRun(const char* source, const script::HostRegistry& host,
+                 std::uint64_t iters) {
+  const script::ir::Module mod = Compile(source);
   const script::InterpreterOptions opts;
-  EngineCosts out;
-  {
-    script::Interpreter interp(host);
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      auto r = interp.Execute(program);
-      Sink(r.ok());
-    }
-    out.ast_ns = NsPerOp(t0, Clock::now(), iters);
+  RunCost out;
+  out.steps = script::ir::Execute(mod, host, opts).value().steps;
+  auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    auto r = script::ir::Execute(mod, host, opts);
+    Sink(r.ok());
   }
-  {
-    const script::ir::Module mod = script::ir::Lower(program);
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      auto r = script::ir::Execute(mod, host, opts);
-      Sink(r.ok());
-    }
-    out.ir_ns = NsPerOp(t0, Clock::now(), iters);
-  }
-  {
-    script::ir::Module mod = script::ir::Lower(program);
-    script::analysis::OptimizeModule(mod);
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      auto r = script::ir::Execute(mod, host, opts);
-      Sink(r.ok());
-    }
-    out.ir_opt_ns = NsPerOp(t0, Clock::now(), iters);
-  }
+  out.ns = NsPerOp(t0, Clock::now(), iters);
   return out;
-}
-
-double BenchParse(const char* source, std::uint64_t iters) {
-  auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    auto program = script::Parse(source);
-    Sink(program.ok());
-  }
-  return NsPerOp(t0, Clock::now(), iters);
-}
-
-double BenchLower(const script::Program& program, std::uint64_t iters) {
-  auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    auto mod = script::ir::Lower(program);
-    Sink(mod.functions.size());
-  }
-  return NsPerOp(t0, Clock::now(), iters);
-}
-
-double BenchOptimize(const script::Program& program, std::uint64_t iters) {
-  auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    auto mod = script::ir::Lower(program);
-    script::analysis::OptimizeModule(mod);
-    Sink(mod.functions.size());
-  }
-  return NsPerOp(t0, Clock::now(), iters);
 }
 
 }  // namespace
@@ -155,31 +116,24 @@ double BenchOptimize(const script::Program& program, std::uint64_t iters) {
 int main(int argc, char** argv) {
   sor::bench::RequireCleanTree(argc, argv);
   const script::HostRegistry host = MakeHost();
-  const script::Program sensing = script::Parse(kSensingScript).value();
 
-  const double parse_ns = BenchParse(kSensingScript, 50'000);
-  const double lower_ns = BenchLower(sensing, 50'000);
-  const double lower_optimize_ns = BenchOptimize(sensing, 20'000);
-  const EngineCosts sensing_c = BenchEngines(kSensingScript, host, 50'000);
-  const EngineCosts loop_c = BenchEngines(kLoopHeavyScript, host, 1'000);
+  const double compile_ns = BenchCompile(kSensingScript, 20'000);
+  const RunCost sensing = BenchRun(kSensingScript, host, 50'000);
+  const RunCost loop = BenchRun(kLoopHeavyScript, host, 1'000);
 
   std::printf("{\n  \"bench\": \"micro_script\",\n");
   std::printf("  \"host_threads\": %u,\n",
               std::thread::hardware_concurrency());
   std::printf("  \"build_type\": \"%s\",\n", SOR_BUILD_TYPE);
   std::printf("  \"git_sha\": \"%s\",\n", SOR_GIT_SHA);
-  std::printf("  \"one_shot_ns\": {\n");
-  std::printf("    \"parse_sensing\": %.1f,\n", parse_ns);
-  std::printf("    \"lower_sensing\": %.1f,\n", lower_ns);
-  std::printf("    \"lower_optimize_sensing\": %.1f\n", lower_optimize_ns);
-  std::printf("  },\n");
-  std::printf("  \"per_run_ns\": {\n");
-  std::printf("    \"sensing\": "
-              "{ \"ast\": %.1f, \"ir\": %.1f, \"ir_opt\": %.1f },\n",
-              sensing_c.ast_ns, sensing_c.ir_ns, sensing_c.ir_opt_ns);
+  std::printf("  \"one_shot_ns\": { \"compile_sensing\": %.1f },\n",
+              compile_ns);
+  std::printf("  \"per_run\": {\n");
+  std::printf("    \"sensing\": { \"ir_opt_ns\": %.1f, \"steps\": %llu },\n",
+              sensing.ns, static_cast<unsigned long long>(sensing.steps));
   std::printf("    \"loop_heavy_10k\": "
-              "{ \"ast\": %.1f, \"ir\": %.1f, \"ir_opt\": %.1f }\n",
-              loop_c.ast_ns, loop_c.ir_ns, loop_c.ir_opt_ns);
+              "{ \"ir_opt_ns\": %.1f, \"steps\": %llu }\n",
+              loop.ns, static_cast<unsigned long long>(loop.steps));
   std::printf("  }\n}\n");
   return 0;
 }

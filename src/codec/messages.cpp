@@ -58,13 +58,15 @@ ReadingTuple DecodeReadingTuple(ByteReader& r) {
   t.kind = static_cast<SensorKind>(kind);
   t.t = DecodeTime(r);
   t.dt = SimDuration{r.svarint()};
+  // Length sanity (and no huge alloc): a count the bytes left cannot hold
+  // fails the decode instead of reading on from the wrong offset.
   const std::uint64_t nv = r.varint();
-  if (nv > r.remaining() / 8 + 1) return t;  // length sanity: avoid huge alloc
-  t.values.reserve(static_cast<std::size_t>(nv));
+  if (nv > r.remaining() / 8 + 1) r.invalidate();
+  if (r.ok()) t.values.reserve(static_cast<std::size_t>(nv));
   for (std::uint64_t i = 0; i < nv && r.ok(); ++i) t.values.push_back(r.f64());
   const std::uint64_t nl = r.varint();
-  if (nl > r.remaining() / 24 + 1) return t;
-  t.locations.reserve(static_cast<std::size_t>(nl));
+  if (nl > r.remaining() / 24 + 1) r.invalidate();
+  if (r.ok()) t.locations.reserve(static_cast<std::size_t>(nl));
   for (std::uint64_t i = 0; i < nl && r.ok(); ++i)
     t.locations.push_back(DecodeGeo(r));
   return t;

@@ -2,10 +2,10 @@
 //
 // Wires together the Message Handler (a net::Endpoint speaking the binary
 // SOR protocol), the Local Preference Manager, the Sensing Task Manager
-// (the task map + RunDue pump), the Script Interpreter (inside
-// TaskInstance), and the Sensor Manager with one Provider per supported
-// sensor (all Nexus4 sensors + the Sensordrone suite over the Bluetooth
-// link).
+// (the task map + RunDue pump), the Script Interpreter (the IR executor
+// inside TaskInstance, running the module the task compiled once), and the
+// Sensor Manager with one Provider per supported sensor (all Nexus4
+// sensors + the Sensordrone suite over the Bluetooth link).
 //
 // The user-facing trigger is ScanBarcode*: decode the 2D barcode, send a
 // ParticipationRequest with the phone's (preference-filtered) location and

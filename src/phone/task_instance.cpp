@@ -5,7 +5,7 @@
 #include "common/log.hpp"
 #include "script/analysis/analyzer.hpp"
 #include "script/analysis/host_api.hpp"
-#include "script/parser.hpp"
+#include "script/ir/exec.hpp"
 
 namespace sor::phone {
 
@@ -35,14 +35,16 @@ TaskInstance::TaskInstance(TaskId id, AppId app, const std::string& script,
       sample_window_(sample_window),
       samples_per_window_(std::max(1, samples_per_window)) {
   std::sort(schedule_.begin(), schedule_.end());
-  // Compile = parse + static analysis. The phone re-checks what the server
-  // should already have verified — a defense against a stale or hostile
-  // server build — so a script that would crash or never terminate is
-  // refused before its first scheduled instant. Warnings only get logged.
+  // Compile = parse + static analysis, which lowers and optimizes the
+  // module every instant then executes. The phone re-checks what the
+  // server should already have verified — a defense against a stale or
+  // hostile server build — so a script that would crash or never terminate
+  // is refused before its first scheduled instant. Warnings only get
+  // logged.
   script::analysis::AnalyzerOptions options;
   options.default_samples_per_window = samples_per_window_;
   script::analysis::AnalysisReport report =
-      script::analysis::AnalyzeSource(script, options);
+      script::analysis::AnalyzeSource(script, options, &module_);
   for (const script::analysis::Diagnostic& d : report.diagnostics) {
     if (d.severity == script::analysis::Severity::kWarning)
       SOR_LOG(kWarn, "task", id_.str() << ": " << Render(d));
@@ -51,18 +53,9 @@ TaskInstance::TaskInstance(TaskId id, AppId app, const std::string& script,
     status_ = TaskStatus::kError;
     last_error_ = report.RenderErrors();
     ++stats_.script_errors;
+    module_ = {};
     return;
   }
-  Result<script::Program> parsed = script::Parse(script);
-  if (!parsed.ok()) {
-    // Unreachable when the analyzer passed (it parses first), kept as a
-    // belt-and-braces guard.
-    status_ = TaskStatus::kError;
-    last_error_ = parsed.error().str();
-    ++stats_.script_errors;
-    return;
-  }
-  program_ = std::move(parsed).value();
   status_ = TaskStatus::kRunning;
 }
 
@@ -141,8 +134,8 @@ void TaskInstance::ExecuteOnce(SimTime t, sensors::SensorManager& sensors,
   // Bind the thread's host table to this execution for the script's run.
   const Execution execution{*this, t, sensors, prefs, out};
   current_ = &execution;
-  script::Interpreter interp(ThreadHostTable());
-  Result<script::ExecutionResult> r = interp.Execute(program_);
+  Result<script::ExecutionResult> r =
+      script::ir::Execute(module_, ThreadHostTable(), {});
   current_ = nullptr;
   if (!r.ok()) {
     ++stats_.script_errors;

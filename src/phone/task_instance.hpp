@@ -5,11 +5,11 @@
 // running, waiting for data, etc), call[s] proper API functions to acquire
 // data from sensors, and manages data collected from sensors."
 //
-// The task owns the parsed SenseScript program and its schedule Φ_k. When
-// the simulation clock reaches a scheduled instant, the task executes the
-// script with the data-acquisition host functions (get_temperature,
-// get_location, ...) bound to the phone's SensorManager; every successful
-// acquisition is recorded as a ReadingTuple (t, Δt, d) ready for upload.
+// The task owns its SenseScript program, compiled once to optimized IR, and
+// its schedule Φ_k. When the simulation clock reaches a scheduled instant,
+// the task executes it with the data-acquisition host functions
+// (get_temperature, get_location, ...) bound to the phone's SensorManager;
+// every successful acquisition is recorded as a ReadingTuple (t, Δt, d).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 #include "common/result.hpp"
 #include "phone/preferences.hpp"
 #include "script/interpreter.hpp"
+#include "script/ir/ir.hpp"
 #include "sensors/manager.hpp"
 
 namespace sor::phone {
@@ -54,9 +55,9 @@ struct TaskRunStats {
 
 class TaskInstance {
  public:
-  // `script` is compiled immediately (parse + static analysis); a parse
-  // failure or any analyzer error puts the task in kError and last_error()
-  // carries the rendered diagnostics.
+  // `script` is compiled immediately (the static analysis parses, lowers
+  // and optimizes it once); a parse failure or any analyzer error puts the
+  // task in kError and last_error() carries the rendered diagnostics.
   TaskInstance(TaskId id, AppId app, const std::string& script,
                std::vector<SimTime> schedule, SimDuration sample_window,
                int samples_per_window);
@@ -131,7 +132,7 @@ class TaskInstance {
 
   TaskId id_;
   AppId app_;
-  script::Program program_;
+  script::ir::Module module_;  // optimized; every instant executes it
   std::vector<SimTime> schedule_;  // sorted
   std::size_t next_instant_ = 0;
   SimTime ran_through_;

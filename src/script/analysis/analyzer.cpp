@@ -20,11 +20,12 @@ namespace {
 // ===========================================================================
 // Pass 1+2+3: scope/flow, types, capability.
 //
-// One abstract interpretation walk mirroring the interpreter's scoping rules
-// exactly (src/script/interpreter.cpp): a scope stack whose bottom is the
-// global scope, block scopes pushed for if/while/for bodies, `local`
-// declaring in the innermost scope, plain assignment writing the nearest
-// enclosing binding or else creating a global. Branches are joined; a name
+// One abstract interpretation walk mirroring the language's scoping rules
+// exactly (as the AST walker in tests/ast_oracle.cpp implements them and
+// the IR executor matches): a scope stack whose bottom is the global scope,
+// block scopes pushed for if/while/for bodies, `local` declaring in the
+// innermost scope, plain assignment writing the nearest enclosing binding
+// or else creating a global. Branches are joined; a name
 // bound on only one incoming path becomes "maybe unassigned" (SA102).
 // ===========================================================================
 
@@ -564,8 +565,9 @@ class ScopeTypeChecker {
 // Pass 4: cost & termination.
 //
 // Interval-based constant folding drives static loop bounds; the result is
-// a worst-case count of interpreter ticks (mirroring the Tick() placement in
-// src/script/interpreter.cpp) and of physical acquisition samples, priced
+// a worst-case count of interpreter ticks (mirroring the Tick() placement of
+// the AST walker in tests/ast_oracle.cpp, which ir::Inst::ticks charges to
+// the IR) and of physical acquisition samples, priced
 // with sensors::AcquisitionEnergyMj.
 // ===========================================================================
 
@@ -580,11 +582,15 @@ struct Interval {
 };
 
 // Abstract value: a numeric range, a truthiness verdict, a list-length
-// range — whichever is statically known.
+// range — whichever is statically known. A length fact holds when it was
+// made; CostAnalyzer::LenNow adds the growth the walk has passed since
+// (`len_grown`, `len_loops` record that point).
 struct CVal {
   std::optional<Interval> num;
   std::optional<bool> truth;
   std::optional<Interval> len;
+  double len_grown = 0;
+  int len_loops = 0;
 };
 
 std::optional<Interval> IAdd(const std::optional<Interval>& a,
@@ -719,7 +725,7 @@ class CostAnalyzer {
     }
   }
 
-  static void JoinEnv(std::vector<CEnv>& a, const std::vector<CEnv>& b) {
+  void JoinEnv(std::vector<CEnv>& a, const std::vector<CEnv>& b) const {
     for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
       for (auto it = a[i].begin(); it != a[i].end();) {
         auto bv = b[i].find(it->first);
@@ -731,14 +737,80 @@ class CostAnalyzer {
         const CVal& o = bv->second;
         av.num = (av.num && o.num) ? std::optional(IHull(*av.num, *o.num))
                                    : std::nullopt;
-        av.len = (av.len && o.len) ? std::optional(IHull(*av.len, *o.len))
-                                   : std::nullopt;
+        const std::optional<Interval> alen = LenNow(av);
+        const std::optional<Interval> olen = LenNow(o);
+        av.len = (alen && olen) ? std::optional(IHull(*alen, *olen))
+                                : std::nullopt;
+        StampLen(av);
         av.truth = (av.truth && o.truth && *av.truth == *o.truth)
                        ? av.truth
                        : std::nullopt;
         ++it;
       }
     }
+  }
+
+  // --- list growth ----------------------------------------------------------
+  //
+  // Lists are references, so a push through any alias, element or callee
+  // argument grows the list. Rather than follow references, the walk
+  // counts growth: grown_ is the number of pushes and index stores passed,
+  // scaled by the trip bounds of the loops around them, and a length fact
+  // is read relative to its value when the fact was made.
+
+  void StampLen(CVal& v) const {
+    v.len_grown = grown_;
+    v.len_loops = loops_entered_;
+  }
+
+  std::optional<Interval> LenNow(const CVal& v) const {
+    // Facts made outside a list-growing loop body do not hold inside it:
+    // the body runs many times but is walked once.
+    if (!v.len || v.len_loops < len_barrier_) return std::nullopt;
+    return Interval{v.len->lo, v.len->hi + (grown_ - v.len_grown)};
+  }
+
+  // Whether code may grow a list: a push, an index store, or a call to a
+  // script function, which may do either.
+  bool MayGrowLists(const Expr* e) const {
+    if (e == nullptr) return false;
+    if (e->kind == Expr::Kind::kCall &&
+        (e->text == "push" || fns_.count(e->text) != 0))
+      return true;
+    return MayGrowLists(e->lhs.get()) || MayGrowLists(e->rhs.get()) ||
+           std::any_of(e->args.begin(), e->args.end(),
+                       [this](const ExprPtr& a) { return MayGrowLists(a.get()); });
+  }
+  bool MayGrowLists(const std::vector<StmtPtr>& body) const {
+    return std::any_of(body.begin(), body.end(), [this](const StmtPtr& sp) {
+      const Stmt& st = *sp;
+      return st.target_index || MayGrowLists(st.expr.get()) ||
+             MayGrowLists(st.for_start.get()) ||
+             MayGrowLists(st.for_stop.get()) ||
+             MayGrowLists(st.for_step.get()) ||
+             (st.kind != Stmt::Kind::kFunction &&
+              (MayGrowLists(st.body) || MayGrowLists(st.else_body)));
+    });
+  }
+
+  // Around a loop body that may grow lists: hides the length facts made
+  // before it, and afterwards charges the growth of every trip.
+  struct LoopGrowth {
+    double grown_before;
+    int barrier_before;
+  };
+  LoopGrowth EnterLoop(const std::vector<StmtPtr>& body, const Expr* cond) {
+    const LoopGrowth saved{grown_, len_barrier_};
+    if (MayGrowLists(body) || MayGrowLists(cond))
+      len_barrier_ = ++loops_entered_;
+    return saved;
+  }
+  void LeaveLoop(const LoopGrowth& saved, std::optional<double> trips) {
+    len_barrier_ = saved.barrier_before;
+    const double per_trip = grown_ - saved.grown_before;
+    if (per_trip <= 0) return;
+    grown_ = trips ? std::max(grown_, saved.grown_before + per_trip * *trips)
+                   : kInf;
   }
 
   // Names (re)assigned anywhere in a block — used to widen loop bodies.
@@ -815,7 +887,7 @@ class CostAnalyzer {
             if (operand.val.truth) r.val.truth = !*operand.val.truth;
             break;
           case UnOp::kLen:
-            r.val.num = operand.val.len;
+            r.val.num = LenNow(operand.val);
             break;
         }
         return r;
@@ -853,6 +925,7 @@ class CostAnalyzer {
         for (const ExprPtr& arg : e.args) r.cost.Add(EvalC(*arg).cost);
         const double n = static_cast<double>(e.args.size());
         r.val.len = Interval{n, n};
+        StampLen(r.val);
         r.val.truth = true;
         return r;
       }
@@ -923,19 +996,25 @@ class CostAnalyzer {
       }
       // Denied or failed acquisitions legitimately return an empty list.
       r.val.len = Interval{0, samples};
+      StampLen(r.val);
       r.val.truth = true;
       return r;
     }
     if (sig != nullptr) {
-      if (sig->name == "len" && arg_vals.size() == 1 && arg_vals[0].len) {
-        r.val.num = arg_vals[0].len;
+      if (sig->name == "len" && arg_vals.size() == 1 &&
+          LenNow(arg_vals[0])) {
+        r.val.num = LenNow(arg_vals[0]);
         r.val.truth = true;
-      } else if (sig->name == "push" && !e.args.empty() &&
-                 e.args[0]->kind == Expr::Kind::kName) {
-        // push(list, v) appends in place: the bound list grows by one.
-        if (CVal* lv = FindVal(e.args[0]->text); lv != nullptr && lv->len) {
-          lv->len = Interval{lv->len->lo + 1, lv->len->hi + 1};
-          r.val.num = lv->len;
+      } else if (sig->name == "push") {
+        // push(list, v) appends in place: the list grows by one (the upper
+        // bound of every list through grown_, the named one's lower here).
+        grown_ += 1;
+        if (!e.args.empty() && e.args[0]->kind == Expr::Kind::kName) {
+          if (CVal* lv = FindVal(e.args[0]->text);
+              lv != nullptr && LenNow(*lv)) {
+            lv->len->lo += 1;
+            r.val.num = LenNow(*lv);
+          }
         }
       }
       return r;
@@ -948,8 +1027,10 @@ class CostAnalyzer {
   }
 
   Cost CostOfFunction(const std::string& name) {
-    if (auto memo = fn_memo_.find(name); memo != fn_memo_.end())
+    if (auto memo = fn_memo_.find(name); memo != fn_memo_.end()) {
+      grown_ += fn_grown_[name];  // walked once; every call grows as much
       return memo->second;
+    }
     if (fn_stack_.count(name) != 0) {
       if (recursion_reported_.insert(name).second) {
         Emit("SA402", fns_[name]->line,
@@ -966,10 +1047,12 @@ class CostAnalyzer {
     env_.clear();
     env_.emplace_back();
     env_.emplace_back();
+    const double grown_before = grown_;
     Cost c = CostOfBlock(fns_[name]->body);
     env_ = std::move(saved);
     fn_stack_.erase(name);
     fn_memo_[name] = c;
+    fn_grown_[name] = grown_ - grown_before;
     return c;
   }
 
@@ -997,13 +1080,8 @@ class CostAnalyzer {
         if (st.target_index) {
           c.Add(EvalC(*st.target_index->lhs).cost);
           c.Add(EvalC(*st.target_index->rhs).cost);
-          // list[n+1] = v appends: worst case the list grows by one.
-          if (st.target_index->lhs->kind == Expr::Kind::kName) {
-            if (CVal* lv = FindVal(st.target_index->lhs->text);
-                lv != nullptr && lv->len) {
-              lv->len->hi += 1;
-            }
-          }
+          // list[n+1] = v appends: worst case a list grows by one.
+          grown_ += 1;
           return c;
         }
         AssignVal(st.name, std::move(v.val));
@@ -1039,6 +1117,7 @@ class CostAnalyzer {
         return c;
       }
       case Stmt::Kind::kWhile: {
+        const LoopGrowth growth = EnterLoop(st.body, st.expr.get());
         EvalResult cond = EvalC(*st.expr);
         std::optional<double> bound = WhileBound(st, cond.val);
         // The flow-sensitive interval pass can only tighten (or supply) a
@@ -1052,6 +1131,8 @@ class CostAnalyzer {
         env_.emplace_back();
         Cost body_c = CostOfBlock(st.body);
         env_.pop_back();
+        // The condition runs once more than the body.
+        LeaveLoop(growth, bound ? std::optional(*bound + 1) : std::nullopt);
         if (!bound.has_value()) {
           Emit("SA401", st.line,
                "cannot derive a static bound for this while loop");
@@ -1099,6 +1180,7 @@ class CostAnalyzer {
         std::set<std::string> assigned;
         CollectAssigned(st.body, assigned);
         Widen(assigned);
+        const LoopGrowth growth = EnterLoop(st.body, nullptr);
         env_.emplace_back();
         CVal loop_var;
         loop_var.num = var_range;
@@ -1106,6 +1188,7 @@ class CostAnalyzer {
         env_.back()[st.name] = loop_var;
         Cost body_c = CostOfBlock(st.body);
         env_.pop_back();
+        LeaveLoop(growth, bound);
         if (!bound.has_value()) {
           Emit("SA401", st.line,
                "cannot derive a static bound for this for loop "
@@ -1292,7 +1375,11 @@ class CostAnalyzer {
   std::vector<CEnv> env_;
   std::map<std::string, const Stmt*> fns_;
   std::map<std::string, Cost> fn_memo_;
+  std::map<std::string, double> fn_grown_;
   std::set<std::string> fn_stack_;
+  double grown_ = 0;
+  int loops_entered_ = 0;  // list-growing loop bodies entered so far
+  int len_barrier_ = 0;    // facts stamped before this loop count are hidden
   std::set<std::string> recursion_reported_;
 };
 
@@ -1302,7 +1389,8 @@ int FirstStatementLine(const Program& program) {
 
 }  // namespace
 
-AnalysisReport Analyze(const Program& program, const AnalyzerOptions& options) {
+AnalysisReport Analyze(const Program& program, const AnalyzerOptions& options,
+                       ir::Module* optimized) {
   AnalysisReport report;
   std::set<SensorKind> required;
   ScopeTypeChecker scopes(program, options, report.diagnostics, required);
@@ -1321,6 +1409,7 @@ AnalysisReport Analyze(const Program& program, const AnalyzerOptions& options) {
                               ir_facts.diagnostics.begin(),
                               ir_facts.diagnostics.end());
     report.flow = std::move(ir_facts.flow);
+    if (optimized != nullptr) *optimized = std::move(mod);
   }
 
   CostAnalyzer coster(program, options, report.diagnostics,
@@ -1357,7 +1446,8 @@ AnalysisReport Analyze(const Program& program, const AnalyzerOptions& options) {
 }
 
 AnalysisReport AnalyzeSource(std::string_view source,
-                             const AnalyzerOptions& options) {
+                             const AnalyzerOptions& options,
+                             ir::Module* optimized) {
   Result<Program> program = Parse(source);
   if (!program.ok()) {
     AnalysisReport report;
@@ -1365,7 +1455,7 @@ AnalysisReport AnalyzeSource(std::string_view source,
     report.manifest.cost_bounded = false;
     return report;
   }
-  return Analyze(program.value(), options);
+  return Analyze(program.value(), options, optimized);
 }
 
 }  // namespace sor::script::analysis

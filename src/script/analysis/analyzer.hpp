@@ -33,14 +33,18 @@
 #include "script/analysis/diagnostics.hpp"
 #include "script/ast.hpp"
 
+namespace sor::script::ir {
+struct Module;
+}  // namespace sor::script::ir
+
 namespace sor::script::analysis {
 
 struct AnalyzerOptions {
   // Samples assumed for an acquisition call whose sample-count argument is
   // absent; mirrors TaskInstance's samples_per_window fallback.
   int default_samples_per_window = 5;
-  // Interpreter instruction budget the worst-case step estimate is checked
-  // against (SA404). Matches InterpreterOptions::max_steps.
+  // Instruction budget the worst-case step estimate is checked against
+  // (SA404). Matches InterpreterOptions::max_steps.
   double max_steps = 2'000'000;
   // Per-run energy budget in millijoules (SA403). <= 0 disables the check.
   double energy_budget_mj = 0.0;
@@ -57,14 +61,19 @@ struct AnalyzerOptions {
   bool ir_passes = true;
 };
 
-// Analyze a parsed program.
+// Analyze a parsed program. With `optimized`, also hands over the module
+// the IR passes optimized (filled when options.ir_passes is on, whatever
+// the diagnostics say): what a task executes, so it compiles once.
 [[nodiscard]] AnalysisReport Analyze(const Program& program,
-                                     const AnalyzerOptions& options = {});
+                                     const AnalyzerOptions& options = {},
+                                     ir::Module* optimized = nullptr);
 
 // Parse + analyze. Lex/parse failures come back as a single SA001
 // diagnostic (carrying the parser's line number) instead of a Result error,
-// so every caller renders failures through one channel.
+// so every caller renders failures through one channel (`optimized` is
+// then left untouched).
 [[nodiscard]] AnalysisReport AnalyzeSource(std::string_view source,
-                                           const AnalyzerOptions& options = {});
+                                           const AnalyzerOptions& options = {},
+                                           ir::Module* optimized = nullptr);
 
 }  // namespace sor::script::analysis

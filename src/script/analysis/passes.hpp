@@ -15,9 +15,9 @@
 //   sensor taint                      the information-flow manifest and
 //                                     SA505 (sensor-free output)
 //
-// OptimizeModule is semantics-preserving and is what the interpreter's IR
-// execution mode runs; AnalyzeModule additionally derives diagnostics,
-// trip bounds, and the flow manifest from the optimized module.
+// OptimizeModule is semantics-preserving and its output is what phones
+// execute; AnalyzeModule additionally derives diagnostics, trip bounds,
+// and the flow manifest from the optimized module.
 #pragma once
 
 #include <map>
@@ -53,7 +53,8 @@ struct OptimizeReport {
 // Semantics-preserving optimization pipeline: constant propagation and
 // folding, constant-branch folding, definite-assignment CheckDef elision,
 // and dead-code elimination. Observable behaviour (values, output, error
-// text) is untouched. With `report`, records the facts behind SA501-SA504.
+// text, steps) is untouched: deleted instructions hand their AST ticks on.
+// With `report`, records the facts behind SA501-SA504.
 void OptimizeModule(ir::Module& m, OptimizeReport* report = nullptr);
 
 struct IrAnalysisOptions {

@@ -1,4 +1,6 @@
-// SenseScript interpreter.
+// SenseScript execution interface: the host whitelist, the budgets and
+// the result every execution reports. The executor is ir::Execute
+// (script/ir/exec.hpp), run over a module lowered once per task.
 //
 // §II-A: "The script interpreter tells the task instance which Java
 // function to call to obtain data from sensors ... security can be enforced
@@ -11,15 +13,15 @@
 // task description distributed by a server cannot spin a phone forever.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
-#include "script/ast.hpp"
 #include "script/value.hpp"
 
 namespace sor::script {
@@ -31,26 +33,30 @@ class HostRegistry {
  public:
   // Register a callable under `name`. Re-registration replaces (used by
   // tests to stub sensors).
-  void Register(const std::string& name, HostFn fn);
+  void Register(const std::string& name, HostFn fn) {
+    fns_[name] = std::move(fn);
+  }
 
-  [[nodiscard]] const HostFn* Find(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> Names() const;
+  [[nodiscard]] const HostFn* Find(const std::string& name) const {
+    auto it = fns_.find(name);
+    return it == fns_.end() ? nullptr : &it->second;
+  }
+  [[nodiscard]] std::vector<std::string> Names() const {
+    std::vector<std::string> names;
+    for (const auto& [name, fn] : fns_) names.push_back(name);
+    return names;
+  }
 
  private:
   std::map<std::string, HostFn> fns_;
 };
 
 struct InterpreterOptions {
-  // Maximum number of AST-node evaluations before the script is killed.
+  // Maximum number of AST-node evaluations before the script is killed
+  // (ir::Inst::ticks), the unit of the analyzer's SA404 worst case.
   std::uint64_t max_steps = 2'000'000;
   // Maximum call depth (scripts can define and call functions).
   int max_call_depth = 64;
-  // Execute through the basic-block IR (script/ir/) instead of the AST
-  // walker. Observable behaviour is bit-identical (differential-tested in
-  // test_ir); only ExecutionResult::steps counts IR instructions instead
-  // of AST evaluations. The analysis layer can additionally run
-  // OptimizeModule over a lowered module before ir::Execute.
-  bool use_ir = false;
 };
 
 struct ExecutionResult {
@@ -59,27 +65,10 @@ struct ExecutionResult {
   std::string output;        // everything print() emitted
 };
 
-class Interpreter {
- public:
-  explicit Interpreter(const HostRegistry& host,
-                       InterpreterOptions opts = {});
-
-  // Parse + execute in one go.
-  [[nodiscard]] Result<ExecutionResult> Run(std::string_view source);
-
-  // Execute an already-parsed program (reusable across phones).
-  [[nodiscard]] Result<ExecutionResult> Execute(const Program& program);
-
- private:
-  class Impl;
-  const HostRegistry& host_;
-  InterpreterOptions opts_;
-};
-
 // Installs the pure builtin library (print, len, push, abs, floor, min,
 // max, tostring, tonumber, mean, stddev) into a registry. `print` appends
-// to ExecutionResult::output via an interpreter-internal hook, so it is
-// registered by the interpreter itself; this installs everything else.
+// to ExecutionResult::output via an executor-internal hook, so it is
+// handled by the executor itself; this installs everything else.
 void InstallStdlib(HostRegistry& registry);
 
 }  // namespace sor::script

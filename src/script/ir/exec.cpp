@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "script/ast.hpp"
+
 namespace sor::script::ir {
 namespace {
 
@@ -54,7 +56,8 @@ class Executor {
       const BasicBlock& b = fn.blocks[static_cast<std::size_t>(block)];
       for (std::size_t ip = 0; ip < b.insts.size(); ++ip) {
         const Inst& inst = b.insts[ip];
-        if (++steps_ > opts_.max_steps) {
+        steps_ += inst.ticks;
+        if (steps_ > opts_.max_steps) {
           return Error{Errc::kScriptError,
                        "instruction budget exhausted at line " +
                            std::to_string(inst.line)};
@@ -226,6 +229,8 @@ class Executor {
             goto next_block;
           case Op::kReturn:
             return inst.a == kNoReg ? Value() : regs[inst.a];
+          case Op::kTick:
+            break;
         }
       }
       // Blocks always end in a terminator; reaching here is a lowering bug.

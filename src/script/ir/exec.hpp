@@ -1,7 +1,7 @@
-// IR executor: runs a lowered (optionally optimized) module with the same
-// observable behaviour as the AST interpreter — return value, print output,
-// and error text are bit-identical; only ExecutionResult::steps differs
-// (IR instructions retired instead of AST evaluations).
+// IR executor: the one SenseScript executor, run over the module a task
+// compiled once. Return value, print output, error text and steps (AST
+// evaluations, through Inst::ticks) match the AST walker the tests keep as
+// their oracle (tests/ast_oracle.cpp) bit for bit.
 #pragma once
 
 #include "common/result.hpp"

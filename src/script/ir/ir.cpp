@@ -28,6 +28,7 @@ const char* to_string(Op op) {
     case Op::kJump: return "jump";
     case Op::kBranch: return "branch";
     case Op::kReturn: return "return";
+    case Op::kTick: return "tick";
   }
   return "?";
 }
@@ -214,8 +215,13 @@ std::string Dump(const Module& m) {
           case Op::kReturn:
             out += "return " + RegName(inst.a);
             break;
+          case Op::kTick:
+            out += "tick";
+            break;
         }
-        out += "  ; line " + std::to_string(inst.line) + "\n";
+        out += "  ; line " + std::to_string(inst.line);
+        if (inst.ticks != 0) out += " ticks " + std::to_string(inst.ticks);
+        out += "\n";
       }
     }
   }

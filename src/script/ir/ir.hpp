@@ -12,9 +12,14 @@
 //   * the analysis passes in src/script/analysis/ (worklist dataflow over
 //     the CFG: definite assignment, constant propagation, liveness,
 //     intervals, sensor taint), which annotate and optimize it, and
-//   * the IR executor (src/script/ir/exec.cpp), an interpreter over the
-//     instruction stream that reproduces the AST interpreter's observable
-//     behaviour — values, print output, and error messages — bit for bit.
+//   * the IR executor (src/script/ir/exec.cpp), the phone's only script
+//     executor, held bit for bit to the AST walker the tests keep as their
+//     oracle (tests/ast_oracle.cpp).
+//
+// Steps count AST evaluations: each is charged to one instruction, whose
+// `ticks` the executor retires before running it. The optimizer hands a
+// deleted instruction's ticks on, and ticks merge only within one source
+// line, so a budget overrun names the line of the node that overran it.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +56,7 @@ enum class Op : std::uint8_t {
   kJump,         // goto then_block
   kBranch,       // if truthy(reg[a]) goto then_block else else_block
   kReturn,       // return reg[a] (kNoReg = nil) from the current frame
+  kTick,         // no-op that only retires its ticks
 };
 
 [[nodiscard]] const char* to_string(Op op);
@@ -63,9 +69,13 @@ inline constexpr std::uint8_t kStoreUser = 1;  // source assignment
 inline constexpr std::uint8_t kStorePure = 2;  // RHS had no calls
 inline constexpr std::uint8_t kStoreDecl = 4;  // came from a `local`
 
+// Most AST ticks one instruction can carry; more take a kTick carrier.
+inline constexpr std::uint32_t kMaxTicks = 0xffff;
+
 struct Inst {
   Op op;
   std::uint8_t sub = 0;   // BinOp / UnOp enum value for kBinOp / kUnOp
+  std::uint16_t ticks = 0;  // AST evaluations retired before this runs
   std::int32_t line = 0;  // source line of the originating AST node
   Reg dst = kNoReg;
   Reg a = kNoReg;
@@ -75,6 +85,9 @@ struct Inst {
   std::int32_t then_block = -1;
   std::int32_t else_block = -1;
 };
+// `ticks` fits the padding after `sub`: every task keeps its module
+// resident, so the instruction must not grow.
+static_assert(sizeof(Inst) == 36);
 
 struct BasicBlock {
   std::vector<Inst> insts;

@@ -12,7 +12,7 @@ namespace {
 // frame once the function's named-slot count is final.
 constexpr Reg kTempBase = 1u << 20;
 
-// The AST interpreter resolves names dynamically, but because SenseScript
+// The AST walker resolves names dynamically, but because SenseScript
 // has no closures and function bodies only ever see [globals, own scope],
 // in-order lexical resolution visits bindings in exactly the order the
 // dynamic scope stack would: a name is a frame slot if a `local` (or param)
@@ -51,6 +51,9 @@ class Lowerer {
     Reg max_temp = 0;   // high-water mark
     int cur = 0;        // current block id
     bool is_main = false;
+    // AST ticks not yet charged to an instruction, all from one line.
+    std::uint32_t pending_ticks = 0;
+    int pending_line = 0;
   };
 
   FnCtx& ctx() { return *fns_.back(); }
@@ -112,10 +115,24 @@ class Lowerer {
 
   void SetBlock(int id) { ctx().cur = id; }
 
-  Inst& Emit(Inst inst) {
+  // Appends `inst`, charged with the pending ticks: those of the nodes its
+  // node's lowering began with, all on its line (Tick sees to that).
+  void Emit(Inst inst) {
     FnCtx& c = ctx();
+    inst.ticks = static_cast<std::uint16_t>(std::exchange(c.pending_ticks, 0));
     c.fn.blocks[static_cast<std::size_t>(c.cur)].insts.push_back(inst);
-    return c.fn.blocks[static_cast<std::size_t>(c.cur)].insts.back();
+  }
+
+  // The walker's Tick() at `line`, charged to the next instruction emitted.
+  // Ticks come in pre-order, so each lands on the first instruction of its
+  // node: where the walker ticks it, relative to every side effect.
+  void Tick(int line) {
+    FnCtx& c = ctx();
+    if (c.pending_ticks != 0 &&
+        (c.pending_line != line || c.pending_ticks == kMaxTicks))
+      Emit(Inst{.op = Op::kTick, .line = c.pending_line});
+    c.pending_line = line;
+    ++c.pending_ticks;
   }
 
   Reg NewTemp() {
@@ -129,7 +146,7 @@ class Lowerer {
 
   // Snapshot a register the current statement may later observe: named
   // slots are live storage, so their value must be captured at evaluation
-  // time (the AST interpreter copies on Eval).
+  // time (the AST walker copies on Eval).
   Reg Snapshot(Reg r, int line) {
     if (!IsNamed(r)) return r;
     const Reg t = NewTemp();
@@ -159,6 +176,7 @@ class Lowerer {
   // --- expressions -------------------------------------------------------
 
   Reg EvalExpr(const Expr& e) {
+    Tick(e.line);
     switch (e.kind) {
       case Expr::Kind::kNumber: return EmitConst(Value(e.number), e.line);
       case Expr::Kind::kString: return EmitConst(Value(e.text), e.line);
@@ -250,8 +268,7 @@ class Lowerer {
     const Reg lhs = EvalExpr(*e.lhs);
     const Reg t = NewTemp();
     Emit(Inst{.op = Op::kMove, .line = e.line, .dst = t, .a = lhs});
-    Inst& br = Emit(
-        Inst{.op = Op::kBranch, .sub = 0, .line = e.line, .a = t});
+    Emit(Inst{.op = Op::kBranch, .sub = 0, .line = e.line, .a = t});
     const int branch_block = ctx().cur;
 
     ctx().ctrl.push_back({branch_block, t});
@@ -259,7 +276,7 @@ class Lowerer {
     SetBlock(rhs_block);
     const Reg rhs = EvalExpr(*e.rhs);
     Emit(Inst{.op = Op::kMove, .line = e.line, .dst = t, .a = rhs});
-    Inst& rhs_jump = Emit(Inst{.op = Op::kJump, .line = e.line});
+    Emit(Inst{.op = Op::kJump, .line = e.line});
     const int rhs_end = ctx().cur;
     ctx().ctrl.pop_back();
 
@@ -267,11 +284,9 @@ class Lowerer {
     ctx().fn.blocks[static_cast<std::size_t>(rhs_end)]
         .insts.back()
         .then_block = merge;
-    (void)rhs_jump;
     // `and` evaluates the rhs when the lhs is truthy; `or` when falsy.
     Inst& branch =
         ctx().fn.blocks[static_cast<std::size_t>(branch_block)].insts.back();
-    (void)br;
     if (e.bin_op == BinOp::kAnd) {
       branch.then_block = rhs_block;
       branch.else_block = merge;
@@ -284,7 +299,7 @@ class Lowerer {
   }
 
   // Evaluate expressions left to right, snapshotting each value as the AST
-  // interpreter does, then pack them into a contiguous temp range.
+  // walker does, then pack them into a contiguous temp range.
   std::pair<Reg, std::uint32_t> EvalArgList(const std::vector<ExprPtr>& args,
                                             int line) {
     std::vector<Reg> vals;
@@ -324,7 +339,7 @@ class Lowerer {
   // Lowers a statement list inside a fresh block scope (if/while/for body).
   // Emits a kClearSlots covering every slot the scope (transitively)
   // declares so loop re-entry sees iteration-fresh locals, exactly like the
-  // AST interpreter's per-iteration scope push.
+  // AST walker's per-iteration scope push.
   void LowerBlockScope(const std::vector<StmtPtr>& body, bool fresh_scope) {
     FnCtx& c = ctx();
     int clear_block = -1;
@@ -332,11 +347,11 @@ class Lowerer {
     const Reg base = c.named;
     if (fresh_scope) {
       clear_block = c.cur;
-      clear_idx = c.fn.blocks[static_cast<std::size_t>(c.cur)].insts.size();
       Emit(Inst{.op = Op::kClearSlots, .line = 0, .a = base, .b = 0});
+      clear_idx = c.fn.blocks[static_cast<std::size_t>(c.cur)].insts.size() - 1;
       c.scopes.push_back(ScopeInfo{{}, base});
     } else if (c.scopes.empty()) {
-      // Main's outermost scope: `local` here lives in the interpreter's
+      // Main's outermost scope: `local` here lives in the walker's
       // global scope, so keep an empty sentinel that never binds slots.
       c.scopes.push_back(ScopeInfo{{}, base});
     }
@@ -361,6 +376,7 @@ class Lowerer {
   }
 
   void LowerStmt(const Stmt& st) {
+    Tick(st.line);
     switch (st.kind) {
       case Stmt::Kind::kLocal: {
         had_call_ = false;
@@ -368,7 +384,7 @@ class Lowerer {
         const std::uint8_t store =
             kStoreUser | kStoreDecl | (had_call_ ? 0 : kStorePure);
         if (AtMainTopLevel()) {
-          // Top-level locals live in the interpreter's global scope.
+          // Top-level locals live in the walker's global scope.
           Emit(Inst{.op = Op::kStoreGlobal,
                     .sub = store,
                     .line = st.line,
@@ -390,7 +406,7 @@ class Lowerer {
         const Reg v = EvalExpr(*st.expr);
         if (st.target_index) {
           // list[i] = v evaluates value, list, then index — and checks the
-          // list between the last two (AST interpreter order).
+          // list between the last two (AST walker order).
           const Reg vv = Snapshot(v, st.line);
           const Reg list = EvalExpr(*st.target_index->lhs);
           Emit(Inst{.op = Op::kCheckList, .line = st.line, .a = list});
@@ -432,8 +448,7 @@ class Lowerer {
         const int then_block = NewBlock();
         SetBlock(then_block);
         LowerBlockScope(st.body, /*fresh_scope=*/true);
-        Inst& then_jump = Emit(Inst{.op = Op::kJump, .line = st.line});
-        (void)then_jump;
+        Emit(Inst{.op = Op::kJump, .line = st.line});
         const int then_end = ctx().cur;
 
         int else_block = -1;
@@ -465,13 +480,13 @@ class Lowerer {
       }
       case Stmt::Kind::kWhile: {
         const int prehead = ctx().cur;
-        Inst& entry_jump = Emit(Inst{.op = Op::kJump, .line = st.line});
-        (void)entry_jump;
+        Emit(Inst{.op = Op::kJump, .line = st.line});
         const int head = NewBlock();
         ctx().fn.blocks[static_cast<std::size_t>(prehead)]
             .insts.back()
             .then_block = head;
         SetBlock(head);
+        Tick(st.line);  // the walker ticks once per condition check
         const Reg cond = EvalExpr(*st.expr);
         Emit(Inst{.op = Op::kBranch, .sub = 1, .line = st.line, .a = cond});
         const int cond_end = ctx().cur;
@@ -562,11 +577,12 @@ class Lowerer {
         FnCtx& c = ctx();
         const Reg scope_base = c.named;
         const int clear_block = c.cur;
-        const std::size_t clear_idx =
-            c.fn.blocks[static_cast<std::size_t>(c.cur)].insts.size();
         Emit(Inst{.op = Op::kClearSlots, .line = 0, .a = scope_base, .b = 0});
+        const std::size_t clear_idx =
+            c.fn.blocks[static_cast<std::size_t>(c.cur)].insts.size() - 1;
         c.scopes.push_back(ScopeInfo{{}, scope_base});
         const Reg var = DeclareLocal(st.name);
+        Tick(st.line);  // the walker ticks once per iteration entered
         Emit(Inst{.op = Op::kMove, .line = st.line, .dst = var, .a = counter});
         for (const StmtPtr& stmt : st.body) {
           const Reg temp_mark = c.temp;
@@ -619,7 +635,7 @@ class Lowerer {
       }
       case Stmt::Kind::kBreak: {
         if (ctx().loop_stack.empty()) {
-          // The AST interpreter unwinds a loop-less break out of the whole
+          // The AST walker unwinds a loop-less break out of the whole
           // block, leaving the return value nil — same as `return`.
           Emit(Inst{.op = Op::kReturn, .line = st.line});
         } else {
@@ -658,7 +674,7 @@ class Lowerer {
     fns_.push_back(&fc);
     StartFunction(fc);
     // Params bind in order; a duplicated name rebinds to the later slot,
-    // matching the interpreter's map-overwrite behaviour.
+    // matching the walker's map-overwrite behaviour.
     fc.scopes.push_back(ScopeInfo{{}, 0});
     for (const std::string& p : st.params) DeclareLocal(p);
     for (const StmtPtr& stmt : st.body) {

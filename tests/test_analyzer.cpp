@@ -15,6 +15,10 @@
 #include "script/analysis/diagnostics.hpp"
 #include "script/analysis/flow_manifest.hpp"
 #include "script/analysis/host_api.hpp"
+#include "script/interpreter.hpp"
+#include "script/ir/exec.hpp"
+#include "script/ir/ir.hpp"
+#include "sensors/energy.hpp"
 
 namespace sor::script::analysis {
 namespace {
@@ -662,6 +666,121 @@ TEST(Analyzer, ManifestCountsLoopScaledAcquisitions) {
   // induction bound alone would over-approximate to 5).
   EXPECT_DOUBLE_EQ(r.manifest.worst_case_acquisitions, 12.0);
   EXPECT_DOUBLE_EQ(r.manifest.worst_case_energy_mj, 60.0);
+}
+
+// --- lists grown by push: bounds must cover what a run does ------------------
+
+// What one run of `source` does on a phone whose sensors always return the
+// full sample count: acquisitions, their energy, and the AST steps.
+struct Observed {
+  double acquisitions = 0;
+  double energy_mj = 0;
+  std::uint64_t steps = 0;
+};
+
+Observed RunCounting(const std::string& source) {
+  Observed seen;
+  HostRegistry host;
+  InstallStdlib(host);
+  for (const HostSignature& sig : HostSignatures()) {
+    if (!sig.sensor.has_value()) continue;
+    const SensorKind kind = *sig.sensor;
+    host.Register(std::string(sig.name),
+                  [kind, &seen](std::span<const Value> args) -> Result<Value> {
+                    int samples = 5;
+                    if (!args.empty() && args[0].is_number())
+                      samples = static_cast<int>(args[0].as_number());
+                    seen.acquisitions += samples;
+                    seen.energy_mj +=
+                        samples * sensors::AcquisitionEnergyMj(kind);
+                    return Value::MakeList(
+                        List(static_cast<std::size_t>(samples), Value(1.0)));
+                  });
+  }
+  ir::Module module;
+  (void)AnalyzeSource(source, {}, &module);
+  const Result<ExecutionResult> run = ir::Execute(module, host, {});
+  EXPECT_TRUE(run.ok()) << run.error().str();
+  if (run.ok()) seen.steps = run.value().steps;
+  return seen;
+}
+
+void ExpectBoundsCoverARun(const std::string& source) {
+  const AnalysisReport r = Analyzed(source);
+  ASSERT_TRUE(r.manifest.cost_bounded)
+      << Render(std::span<const Diagnostic>(r.diagnostics));
+  const Observed seen = RunCounting(source);
+  EXPECT_GT(seen.acquisitions, 0);
+  EXPECT_GE(r.manifest.worst_case_acquisitions, seen.acquisitions) << source;
+  EXPECT_GE(r.manifest.worst_case_energy_mj, seen.energy_mj) << source;
+  EXPECT_GE(r.manifest.worst_case_steps, static_cast<double>(seen.steps))
+      << source;
+}
+
+TEST(AnalyzerPush, ForLoopGrownListBoundsTheNextLoop) {
+  const std::string src =
+      "local l = {}\n"
+      "for i = 1, 1000 do push(l, i) end\n"
+      "for i = 1, len(l) do local t = get_temperature_readings(5) end\n";
+  ExpectBoundsCoverARun(src);
+  // 5000 acquisitions at 8 mJ: over the server's default 5000 mJ budget,
+  // exactly as the same loop written `for i = 1, 1000` is.
+  AnalyzerOptions server;
+  server.energy_budget_mj = 5000;
+  EXPECT_TRUE(Analyzed(src, server).Has("SA403"));
+}
+
+TEST(AnalyzerPush, GrowthThroughAnAliasReachesTheList) {
+  ExpectBoundsCoverARun(
+      "local a = {}\n"
+      "local b = a\n"
+      "push(b, 1)\n"
+      "push(b, 2)\n"
+      "push(b, 3)\n"
+      "for i = 1, len(a) do local t = get_temperature_readings(5) end\n");
+}
+
+TEST(AnalyzerPush, FunctionPushingOntoItsArgument) {
+  ExpectBoundsCoverARun(
+      "function fill(l)\n"
+      "  for i = 1, 10 do push(l, i) end\n"
+      "end\n"
+      "local a = {}\n"
+      "fill(a)\n"
+      "for i = 1, len(a) do local t = get_temperature_readings(5) end\n");
+}
+
+TEST(AnalyzerPush, WhileLoopGrownList) {
+  ExpectBoundsCoverARun(
+      "local l = {}\n"
+      "local n = 0\n"
+      "while n < 20 do\n"
+      "  push(l, n)\n"
+      "  n = n + 1\n"
+      "end\n"
+      "for i = 1, len(l) do local t = get_temperature_readings(5) end\n");
+}
+
+TEST(AnalyzerPush, GrowthThroughAContainedReference) {
+  // The list is reachable as an element of another list; a push through
+  // that element must still count against it.
+  ExpectBoundsCoverARun(
+      "local a = {}\n"
+      "local box = {a}\n"
+      "for i = 1, 4 do push(box[1], i) end\n"
+      "for i = 1, len(a) do local t = get_temperature_readings(5) end\n");
+}
+
+TEST(AnalyzerPush, PushInsideTheLoopThatReadsTheLength) {
+  // A while loop whose limit grows with every iteration cannot be bounded.
+  const AnalysisReport r = Analyzed(
+      "local l = {1}\n"
+      "local i = 0\n"
+      "while i < len(l) do\n"
+      "  push(l, i)\n"
+      "  i = i + 1\n"
+      "end\n");
+  EXPECT_TRUE(r.Has("SA401"));
 }
 
 // --- diagnostics plumbing ----------------------------------------------------

@@ -350,6 +350,40 @@ TEST(Messages, UnknownSensorKindInUploadRejected) {
   EXPECT_EQ(decoded.code(), Errc::kDecodeError);
 }
 
+// Upload bodies whose tuple declares more values (or locations) than the
+// bytes left could hold. The first, 13 bytes long, used to decode as two
+// tuples — the second read from inside the first — and re-encode as 14.
+Bytes UploadWithOverlongCount(bool locations) {
+  ByteWriter w;
+  w.varint(1);  // task
+  w.varint(1);  // user
+  w.varint(1);  // seq
+  w.varint(2);  // two batches
+  for (int tuple = 0; tuple < 2; ++tuple) {
+    w.u8(0);        // sensor kind
+    w.svarint(0);   // t
+    w.svarint(0);   // dt
+    const bool overlong = tuple == 0;
+    w.varint(overlong && !locations ? 127 : 0);  // values
+    if (overlong && !locations) continue;        // ... and none follow
+    w.varint(overlong ? 127 : 0);                // locations
+  }
+  return w.take();
+}
+
+TEST(Messages, OverlongValueCountInUploadRejected) {
+  const Bytes body = UploadWithOverlongCount(/*locations=*/false);
+  ASSERT_EQ(body.size(), 13u);
+  EXPECT_EQ(DecodeBody(MessageType::kSensedDataUpload, body).code(),
+            Errc::kDecodeError);
+}
+
+TEST(Messages, OverlongLocationCountInUploadRejected) {
+  const Bytes body = UploadWithOverlongCount(/*locations=*/true);
+  EXPECT_EQ(DecodeBody(MessageType::kSensedDataUpload, body).code(),
+            Errc::kDecodeError);
+}
+
 // Deterministic fuzz: flip every single byte of each frame, and also try
 // random mutations — decode must fail or produce *some* valid message, but
 // never crash. (CRC catches essentially everything.)

@@ -1,26 +1,38 @@
-// SenseScript IR: lowering/executor parity with the AST interpreter.
+// SenseScript IR: lowering/executor parity with the AST walker oracle.
 //
-// The IR execution mode is only sound if a lowered (and later, optimized)
-// module is observationally identical to the tree-walking interpreter:
-// same return value (bit-for-bit for numbers), same print output, same
-// error code/message/line. This file checks that three ways:
+// Phones execute only the IR, so a lowered (and optimized) module must be
+// observationally identical to the AST walker the tests keep as the
+// oracle (ast_oracle.hpp): same return value (bit-for-bit for
+// numbers), same print output, same error code/message/line, the same
+// `steps`, and the same host calls in the same order. This file checks
+// that four ways:
 //   * targeted edge cases for every semantic subtlety the lowering has to
 //     preserve (iteration-fresh block scopes, evaluation order, dynamic
 //     function binding, short-circuit result values, ...),
-//   * a seeded random-program fuzz battery (>= 500 programs), and
-//   * the same battery partitioned across 1/2/8 worker threads, asserting
-//     the aggregated result fingerprints are thread-count invariant.
+//   * a seeded random-program fuzz battery (600 programs),
+//   * the same battery and the example scripts run at every instruction
+//     budget up to their step count, so a budget overrun dies at the same
+//     node (and line, and host call) under all three engines, and
+//   * the battery partitioned across 1/2/8 worker threads, asserting the
+//     aggregated result fingerprints are thread-count invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ast_oracle.hpp"
+#include "core/system.hpp"
 #include "script/analysis/analyzer.hpp"
+#include "script/analysis/host_api.hpp"
 #include "script/analysis/passes.hpp"
 #include "script/interpreter.hpp"
 #include "script/ir/exec.hpp"
@@ -49,6 +61,22 @@ HostRegistry MakeTestHost() {
   return host;
 }
 
+// `base` with every function wrapped to append "name(args);" to `log`
+// before it runs: the ordered host-call log a fingerprint covers.
+HostRegistry WithCallLog(const HostRegistry& base, std::string& log) {
+  HostRegistry logged;
+  for (const std::string& name : base.Names()) {
+    logged.Register(name, [fn = *base.Find(name), name,
+                           &log](std::span<const Value> args) {
+      log += name + "(";
+      for (const Value& a : args) log += a.ToDisplayString() + ",";
+      log += ");";
+      return fn(args);
+    });
+  }
+  return logged;
+}
+
 std::string FingerprintValue(const Value& v) {
   switch (v.kind()) {
     case Value::Kind::kNumber: {
@@ -71,14 +99,31 @@ std::string FingerprintValue(const Value& v) {
   }
 }
 
-std::string Fingerprint(const Result<ExecutionResult>& r) {
+std::string Fingerprint(const Result<ExecutionResult>& r,
+                        const std::string& host_calls = "") {
   if (!r.ok()) {
     const Error& e = r.error();
     return "err|" + std::to_string(static_cast<int>(e.code)) + "|" +
-           e.message + "|" + std::to_string(e.line);
+           e.message + "|" + std::to_string(e.line) + "|" + host_calls;
   }
   return "ok|" + FingerprintValue(r.value().return_value) + "|" +
-         r.value().output;
+         r.value().output + "|steps=" + std::to_string(r.value().steps) +
+         "|" + host_calls;
+}
+
+// One program ready to run under all three engines.
+struct Engines {
+  Program program;
+  ir::Module raw;
+  ir::Module opt;
+};
+
+Engines Compile(Program program) {
+  Engines e{std::move(program), {}, {}};
+  e.raw = ir::Lower(e.program);
+  e.opt = e.raw;
+  analysis::OptimizeModule(e.opt);
+  return e;
 }
 
 struct DiffResult {
@@ -87,31 +132,33 @@ struct DiffResult {
   std::string opt;
 };
 
-DiffResult RunDifferential(const std::string& source) {
-  const HostRegistry host = MakeTestHost();
+DiffResult RunEngines(const Engines& e, const HostRegistry& base,
+                      const InterpreterOptions& opts) {
+  std::string log;
+  const HostRegistry host = WithCallLog(base, log);
   DiffResult out;
+  const Result<ExecutionResult> ast = oracle::Execute(e.program, host, opts);
+  out.ast = Fingerprint(ast, log);
+  log.clear();
+  const Result<ExecutionResult> raw = ir::Execute(e.raw, host, opts);
+  out.ir = Fingerprint(raw, log);
+  log.clear();
+  const Result<ExecutionResult> opt = ir::Execute(e.opt, host, opts);
+  out.opt = Fingerprint(opt, log);
+  return out;
+}
 
-  Interpreter interp(host);
-  out.ast = Fingerprint(interp.Run(source));
-
+DiffResult RunDifferential(const std::string& source) {
   Result<Program> program = Parse(source);
   if (!program.ok()) {
-    // Parse failures never reach lowering; mirror the interpreter result.
+    // Parse failures never reach lowering; mirror the oracle's result.
+    DiffResult out;
+    out.ast = Fingerprint(oracle::Run(source, MakeTestHost()));
     out.ir = Fingerprint(Result<ExecutionResult>(program.error()));
     out.opt = out.ir;
     return out;
   }
-  const InterpreterOptions opts;
-  {
-    ir::Module m = ir::Lower(program.value());
-    out.ir = Fingerprint(ir::Execute(m, host, opts));
-  }
-  {
-    ir::Module m = ir::Lower(program.value());
-    analysis::OptimizeModule(m);
-    out.opt = Fingerprint(ir::Execute(m, host, opts));
-  }
-  return out;
+  return RunEngines(Compile(std::move(program).value()), MakeTestHost(), {});
 }
 
 // Asserts AST / raw-IR / optimized-IR all agree and returns the fingerprint.
@@ -120,6 +167,72 @@ std::string ExpectParity(const std::string& source) {
   EXPECT_EQ(r.ast, r.ir) << "raw IR diverged for:\n" << source;
   EXPECT_EQ(r.ast, r.opt) << "optimized IR diverged for:\n" << source;
   return r.ast;
+}
+
+bool IsBudgetError(const Result<ExecutionResult>& r) {
+  return !r.ok() &&
+         r.error().message.rfind("instruction budget exhausted", 0) == 0;
+}
+
+// The program's step count S under the oracle: the smallest budget it runs
+// under without a budget error (budget errors are monotone in max_steps).
+std::uint64_t StepCount(const Program& program, const HostRegistry& host) {
+  const Result<ExecutionResult> full = oracle::Execute(program, host, {});
+  if (full.ok()) return full.value().steps;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = InterpreterOptions{}.max_steps;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    InterpreterOptions opts;
+    opts.max_steps = mid;
+    if (IsBudgetError(oracle::Execute(program, host, opts))) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+// Every budget 0..S when S <= 500, else 500 evenly spaced ones plus S-1
+// and S.
+std::vector<std::uint64_t> BudgetsUpTo(std::uint64_t steps) {
+  constexpr std::uint64_t kMaxBudgets = 500;
+  std::vector<std::uint64_t> budgets;
+  if (steps <= kMaxBudgets) {
+    for (std::uint64_t b = 0; b <= steps; ++b) budgets.push_back(b);
+    return budgets;
+  }
+  for (std::uint64_t i = 0; i < kMaxBudgets; ++i)
+    budgets.push_back(i * steps / kMaxBudgets);
+  budgets.push_back(steps - 1);
+  budgets.push_back(steps);
+  return budgets;
+}
+
+// Runs all three engines at every budget of BudgetsUpTo(S); returns the
+// number of budgets at which they disagreed (each reported).
+int BudgetSweepMismatches(const std::string& source, const HostRegistry& host,
+                          const std::string& label) {
+  Result<Program> program = Parse(source);
+  if (!program.ok()) return 0;
+  const Engines e = Compile(std::move(program).value());
+  const std::uint64_t steps = StepCount(e.program, host);
+  int mismatches = 0;
+  for (const std::uint64_t budget : BudgetsUpTo(steps)) {
+    InterpreterOptions opts;
+    opts.max_steps = budget;
+    const DiffResult r = RunEngines(e, host, opts);
+    if (r.ast != r.ir || r.ast != r.opt) {
+      ++mismatches;
+      ADD_FAILURE() << label << " diverged at max_steps=" << budget
+                    << " (S=" << steps << "):\n" << source
+                    << "\nAST: " << r.ast << "\nIR:  " << r.ir
+                    << "\nOPT: " << r.opt;
+      if (mismatches > 3) break;
+    }
+  }
+  return mismatches;
 }
 
 // --- targeted semantic edge cases -----------------------------------------
@@ -418,6 +531,130 @@ TEST(IrParity, UndefinedVariableLineNumbers) {
 
 // --- random program generator ----------------------------------------------
 
+// --- steps and the instruction budget ----------------------------------------
+
+TEST(IrSteps, LoopHeavyCountsAstEvaluations) {
+  // One tick per statement, loop check and expression node: 50,007 AST
+  // evaluations (one per IR instruction would be 100,011).
+  const std::string fp = ExpectParity(
+      "local s = 0\nfor i = 1, 10000 do s = s + i end\nreturn s");
+  EXPECT_NE(fp.find("|steps=50007|"), std::string::npos) << fp;
+  // A step count above 500 takes the sampled budget sweep.
+  EXPECT_EQ(BudgetSweepMismatches(
+                "local s = 0\nfor i = 1, 1000 do s = s + i end\nreturn s",
+                MakeTestHost(), "loop"),
+            0);
+}
+
+TEST(IrSteps, MultiLineStatementsOverrunOnTheNodesLine) {
+  // Nodes of one statement on several lines: a budget overrun must name the
+  // line of the node whose tick overran, so ticks never merge across lines.
+  const std::string src =
+      "local t = {\n"
+      "  get_value(),\n"
+      "  -(1 +\n"
+      "    2),\n"
+      "  get_series()\n"
+      "}\n"
+      "function f(a,\n"
+      "           b)\n"
+      "  local dead = a\n"
+      "  local also_dead = {b,\n"
+      "                     a}\n"
+      "  return a +\n"
+      "    b\n"
+      "end\n"
+      "print(f(1,\n"
+      "        #t), t[\n"
+      "  2])\n";
+  ExpectParity(src);
+  EXPECT_EQ(BudgetSweepMismatches(src, MakeTestHost(), "multi-line"), 0);
+  // The sweep above only proves something if ticks had to wait on kTick
+  // carriers, in the lowered and in the optimized module.
+  const Engines e = Compile(Parse(src).value());
+  EXPECT_NE(ir::Dump(e.raw).find("    tick  ; line 1 ticks 2"), std::string::npos);
+  EXPECT_NE(ir::Dump(e.opt).find("    tick  ; line 9 ticks 2"), std::string::npos)
+      << ir::Dump(e.opt);
+}
+
+TEST(IrSteps, TicksBeyondOneInstructionsCapacity) {
+  // 40,000 dead stores on one line: the optimizer folds their 80,000 ticks
+  // forward, which overflows one instruction's tick field.
+  std::string src = "if true then";
+  for (int i = 0; i < 40'000; ++i) src += " local a = 1";
+  src += " end return 7";
+  const std::string fp = ExpectParity(src);
+  EXPECT_NE(fp.find("|steps=80004|"), std::string::npos) << fp.substr(0, 80);
+  Result<Program> program = Parse(src);
+  ASSERT_TRUE(program.ok());
+  const Engines e = Compile(std::move(program).value());
+  for (const std::uint64_t budget :
+       {std::uint64_t{65'534}, std::uint64_t{65'535}, std::uint64_t{65'536},
+        std::uint64_t{80'003}, std::uint64_t{80'004}}) {
+    InterpreterOptions opts;
+    opts.max_steps = budget;
+    const DiffResult r = RunEngines(e, MakeTestHost(), opts);
+    EXPECT_EQ(r.ast, r.ir) << "max_steps=" << budget;
+    EXPECT_EQ(r.ast, r.opt) << "max_steps=" << budget;
+  }
+}
+
+// The shipped scenario scripts, against sensor stand-ins that return
+// `samples` deterministic readings, at every budget up to their step count.
+HostRegistry MakeExampleHost() {
+  HostRegistry host;
+  InstallStdlib(host);
+  for (const analysis::HostSignature& sig : analysis::HostSignatures()) {
+    if (!sig.sensor.has_value()) continue;
+    host.Register(std::string(sig.name),
+                  [](std::span<const Value> args) -> Result<Value> {
+                    int samples = 5;
+                    if (!args.empty() && args[0].is_number())
+                      samples = std::max(1, static_cast<int>(args[0].as_number()));
+                    List values;
+                    for (int i = 0; i < samples; ++i)
+                      values.emplace_back(30.0 + 4.5 * i);
+                    return Value::MakeList(std::move(values));
+                  });
+  }
+  host.Register("get_time_s", [](std::span<const Value>) -> Result<Value> {
+    return Value(3600.0);
+  });
+  host.Register("get_sample_window_s",
+                [](std::span<const Value>) -> Result<Value> {
+                  return Value(10.0);
+                });
+  host.Register("get_remaining_instants",
+                [](std::span<const Value>) -> Result<Value> {
+                  return Value(2.0);
+                });
+  return host;
+}
+
+TEST(IrSteps, ExampleScriptsAtEveryBudget) {
+  std::vector<std::pair<std::string, std::string>> scripts;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SOR_EXAMPLE_SCRIPTS_DIR)) {
+    if (entry.path().extension() != ".sor") continue;
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    scripts.emplace_back(entry.path().filename().string(), text.str());
+  }
+  std::sort(scripts.begin(), scripts.end());
+  ASSERT_GE(scripts.size(), 4u);
+  scripts.emplace_back("builtin:trails",
+                       core::DefaultScript(world::PlaceCategory::kHikingTrail));
+  scripts.emplace_back("builtin:coffee",
+                       core::DefaultScript(world::PlaceCategory::kCoffeeShop));
+  const HostRegistry host = MakeExampleHost();
+  for (const auto& [name, source] : scripts) {
+    EXPECT_EQ(BudgetSweepMismatches(source, host, name), 0) << name;
+    const Result<ExecutionResult> run = oracle::Run(source, host);
+    ASSERT_TRUE(run.ok()) << name << ": " << run.error().str();
+  }
+}
+
 // Generates syntactically valid programs (parser never rejects them) that
 // are runtime-bounded by construction: while loops use dedicated counters
 // the rest of the generator can't touch, for loops have constant trip
@@ -693,6 +930,22 @@ TEST(IrFuzz, DifferentialBatteryAllSeeds) {
                       << "\nOPT: " << r.opt;
         if (mismatches > 5) return;  // don't drown the log
       }
+    }
+  }
+}
+
+TEST(IrFuzz, EveryBudgetAllSeeds) {
+  // The 600 programs again, now at every max_steps from 0 to their step
+  // count: a budget overrun must die at the same node, after the same host
+  // calls, with the same message, under all three engines.
+  const HostRegistry host = MakeTestHost();
+  int mismatches = 0;
+  for (const std::uint32_t seed : kFuzzSeeds) {
+    const std::vector<std::string> programs = GeneratePrograms(seed);
+    for (const std::string& src : programs) {
+      mismatches += BudgetSweepMismatches(src, host,
+                                          "seed " + std::to_string(seed));
+      if (mismatches > 5) return;  // don't drown the log
     }
   }
 }

@@ -1,14 +1,45 @@
-// Unit tests for SenseScript: lexer, parser, interpreter semantics, the
+// Unit tests for SenseScript: lexer, parser, execution semantics, the
 // host-function whitelist (the §II-A security mechanism), instruction
 // budgets, and the stdlib.
+//
+// Every script runs the way a phone runs it — AnalyzeSource hands over the
+// optimized module, ir::Execute runs it — and must agree with the AST
+// walker oracle on value, output, steps and error.
 #include <gtest/gtest.h>
 
+#include "ast_oracle.hpp"
+#include "script/analysis/analyzer.hpp"
 #include "script/interpreter.hpp"
+#include "script/ir/exec.hpp"
+#include "script/ir/ir.hpp"
 #include "script/lexer.hpp"
 #include "script/parser.hpp"
 
 namespace sor::script {
 namespace {
+
+std::string Describe(const Result<ExecutionResult>& r) {
+  if (!r.ok()) return "error: " + r.error().str() + " @" +
+                      std::to_string(r.error().line);
+  return "ok: " + r.value().return_value.ToDisplayString() + " | " +
+         r.value().output + " | steps " + std::to_string(r.value().steps);
+}
+
+// The phone's path, checked against the oracle.
+Result<ExecutionResult> Execute(const std::string& src,
+                                const HostRegistry& host,
+                                InterpreterOptions opts = {}) {
+  ir::Module module;
+  (void)analysis::AnalyzeSource(src, {}, &module);
+  Result<ExecutionResult> oracle_r = oracle::Run(src, host, opts);
+  if (module.functions.empty()) {  // parse error: nothing was compiled
+    EXPECT_FALSE(oracle_r.ok()) << src;
+    return oracle_r;
+  }
+  Result<ExecutionResult> r = ir::Execute(module, host, opts);
+  EXPECT_EQ(Describe(r), Describe(oracle_r)) << src;
+  return r;
+}
 
 // Run a script with the stdlib plus any extra host functions; expect
 // success and return the result.
@@ -21,8 +52,7 @@ ExecutionResult RunScript(const std::string& src,
     for (const std::string& name : extra->Names())
       host.Register(name, *extra->Find(name));
   }
-  Interpreter interp(host, opts);
-  Result<ExecutionResult> r = interp.Run(src);
+  Result<ExecutionResult> r = Execute(src, host, opts);
   EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().str());
   return r.ok() ? std::move(r).value() : ExecutionResult{};
 }
@@ -30,8 +60,7 @@ ExecutionResult RunScript(const std::string& src,
 Error ScriptError(const std::string& src, InterpreterOptions opts = {}) {
   HostRegistry host;
   InstallStdlib(host);
-  Interpreter interp(host, opts);
-  Result<ExecutionResult> r = interp.Run(src);
+  Result<ExecutionResult> r = Execute(src, host, opts);
   EXPECT_FALSE(r.ok()) << "script unexpectedly succeeded";
   return r.ok() ? Error{} : r.error();
 }
@@ -296,13 +325,9 @@ print(f())
 }
 
 TEST(Interp, TopLevelReturnValue) {
-  HostRegistry host;
-  InstallStdlib(host);
-  Interpreter interp(host);
-  Result<ExecutionResult> r = interp.Run("return 6 * 7");
-  ASSERT_TRUE(r.ok());
-  ASSERT_TRUE(r.value().return_value.is_number());
-  EXPECT_DOUBLE_EQ(r.value().return_value.as_number(), 42.0);
+  const ExecutionResult r = RunScript("return 6 * 7");
+  ASSERT_TRUE(r.return_value.is_number());
+  EXPECT_DOUBLE_EQ(r.return_value.as_number(), 42.0);
 }
 
 // --- whitelist & resource limits ---------------------------------------------------
@@ -331,8 +356,7 @@ TEST(Interp, HostErrorsPropagateWithContext) {
   host.Register("get_broken", [](std::span<const Value>) -> Result<Value> {
     return Error{Errc::kTimeout, "sensor timed out"};
   });
-  Interpreter interp(host);
-  Result<ExecutionResult> r = interp.Run("get_broken()");
+  Result<ExecutionResult> r = Execute("get_broken()", host);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::kTimeout);
   EXPECT_NE(r.error().message.find("get_broken"), std::string::npos);
@@ -360,9 +384,13 @@ TEST(Interp, CallDepthLimited) {
 }
 
 TEST(Interp, StepsReported) {
-  const ExecutionResult r = RunScript("local x = 1 + 2");
-  EXPECT_GT(r.steps, 0u);
-  EXPECT_LT(r.steps, 100u);
+  // AST evaluations: the statement, the `+` node and its two operands. The
+  // optimizer folds the sum into one constant but keeps all four ticks.
+  EXPECT_EQ(RunScript("local x = 1 + 2").steps, 4u);
+  // `local s = 0` takes 2; the `for` statement and its two bounds 3; each
+  // of the 3 iterations 1 for entering the body and 4 for `s = s + i`.
+  EXPECT_EQ(RunScript("local s = 0 for i = 1, 3 do s = s + i end").steps,
+            2u + 3u + 3u * (1u + 4u));
 }
 
 // --- stdlib -------------------------------------------------------------------

@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
+#include "codec/crc32.hpp"
 #include "common/features.hpp"
 #include "phone/frontend.hpp"
 #include "server/server.hpp"
@@ -589,6 +591,68 @@ TEST(ServerEndToEnd, RawDataHoldsTheUploadBodyAsReceived) {
   EXPECT_TRUE(std::holds_alternative<ErrorReply>(reply.value()));
   EXPECT_EQ(f.server.stats().decode_failures, failures + 1);
   EXPECT_EQ(raw->size(), rows.size());
+}
+
+TEST(ServerEndToEnd, OverlongValueCountUploadRefusedAndNotStored) {
+  // A tuple declaring 127 values with none behind it must fail the whole
+  // decode. Read on from the wrong offset, the rest of this body would pass
+  // for a second tuple, and raw_data would store a non-canonical blob.
+  ServerFixture f;
+  f.net.set_clock(&f.clock);
+  RecordingRelay relay(f.net, f.server);
+  Result<BarcodePayload> barcode = f.server.DeployApplication(TestAppSpec());
+  ASSERT_TRUE(barcode.ok());
+  BarcodePayload payload = barcode.value();
+  payload.server = "relay";
+  const UserId user =
+      f.server.users().RegisterUser("alice", Token{"tok-a"}).value();
+  ConstantEnvironment env;
+  phone::MobileFrontend phone(
+      phone::FrontendConfig{PhoneId{1}, user, "alice", Token{"tok-a"}, true},
+      f.net, env, f.clock);
+  ASSERT_TRUE(phone.ScanBarcode(payload, 6).ok());
+  std::optional<SensedDataUpload> sent;
+  for (int i = 0; i < 60 && !sent; ++i) {
+    f.clock.advance(SimDuration{10'000});
+    phone.Tick();
+    for (const Bytes& frame : relay.frames_) {
+      Result<Message> m = DecodeFrame(frame);
+      if (m.ok() && std::holds_alternative<SensedDataUpload>(m.value()))
+        sent = std::get<SensedDataUpload>(m.value());
+    }
+  }
+  ASSERT_TRUE(sent.has_value());
+  ASSERT_FALSE(sent->batches.empty());
+
+  // The phone's own task and user, a fresh seq, and a tuple that declares
+  // 127 values but ends right after the count, followed by a well-formed
+  // copy of the phone's first tuple.
+  const ReadingTuple& real = sent->batches.front();
+  ByteWriter body;
+  body.varint(sent->task.value());
+  body.varint(sent->user.value());
+  body.varint(sent->seq + 1000);
+  body.varint(2);
+  body.u8(static_cast<std::uint8_t>(real.kind));
+  body.svarint(real.t.ms);
+  body.svarint(real.dt.ms);
+  body.varint(127);
+  EncodeReadingTuple(real, body);
+  const Bytes legit = EncodeFrame(Ack{1});
+  ByteWriter frame;
+  for (int i = 0; i < 4; ++i) frame.u8(legit[static_cast<std::size_t>(i)]);
+  frame.u8(static_cast<std::uint8_t>(MessageType::kSensedDataUpload));
+  frame.blob(body.bytes());
+  frame.u32_fixed(Crc32(frame.bytes()));
+
+  const db::Table* raw = f.server.database().table(db::tables::kRawData);
+  const std::size_t rows = raw->size();
+  const std::uint64_t failures = f.server.stats().decode_failures;
+  Result<Message> reply = DecodeFrame(f.server.HandleFrame(frame.bytes()));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_TRUE(std::holds_alternative<ErrorReply>(reply.value()));
+  EXPECT_EQ(f.server.stats().decode_failures, failures + 1);
+  EXPECT_EQ(raw->size(), rows);
 }
 
 // --- DataProcessor ---------------------------------------------------------------

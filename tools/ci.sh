@@ -92,6 +92,13 @@ if [[ -x build/bench/micro_obs ]]; then
 else
   echo "ci: build/bench/micro_obs not built; skipping overhead report" >&2
 fi
+# SenseScript compile + per-run cost of the one executor (--allow-dirty:
+# a smoke run, not a blessed BENCH_micro_script.json refresh).
+if [[ -x build/bench/micro_script ]]; then
+  build/bench/micro_script --allow-dirty
+else
+  echo "ci: build/bench/micro_script not built; skipping script cost report" >&2
+fi
 
 echo "=== stage: chaos matrix (overload + churn, docs/robustness.md) ==="
 # Robustness gate: the node/storage fault domains and the overload ladder,

@@ -564,11 +564,13 @@ class ScopeTypeChecker {
 // ===========================================================================
 // Pass 4: cost & termination.
 //
-// Interval-based constant folding drives static loop bounds; the result is
+// Interval-based constant folding drives static loop bounds, the only ones
+// the analyzer derives (the IR passes bound no loop); the result is
 // a worst-case count of interpreter ticks (mirroring the Tick() placement of
 // the AST walker in tests/ast_oracle.cpp, which ir::Inst::ticks charges to
 // the IR) and of physical acquisition samples, priced
-// with sensors::AcquisitionEnergyMj.
+// with sensors::AcquisitionEnergyMj. The state after a loop joins every way
+// out of it, so a fact the body makes is never read as certain afterwards.
 // ===========================================================================
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -672,10 +674,8 @@ struct Cost {
 class CostAnalyzer {
  public:
   CostAnalyzer(const Program& program, const AnalyzerOptions& options,
-               std::vector<Diagnostic>& out,
-               const std::map<LoopKey, double>* trip_overrides = nullptr)
-      : program_(program), options_(options), out_(out),
-        trip_overrides_(trip_overrides) {}
+               std::vector<Diagnostic>& out)
+      : program_(program), options_(options), out_(out) {}
 
   Cost Run() {
     CollectFunctions(program_.statements);
@@ -908,8 +908,14 @@ class CostAnalyzer {
           case BinOp::kGe:
             r.val.truth = FoldCompare(e.bin_op, a.val.num, b.val.num);
             break;
+          case BinOp::kAnd:  // the left operand when it is falsy
+            if (a.val.truth) r.val = *a.val.truth ? b.val : a.val;
+            break;
+          case BinOp::kOr:  // the left operand when it is truthy
+            if (a.val.truth) r.val = *a.val.truth ? a.val : b.val;
+            break;
           default:
-            break;  // div/mod/concat/eq/and/or: value statically unknown
+            break;  // div/mod/concat/eq: value statically unknown
         }
         if (r.val.num) r.val.truth = true;  // numbers are always truthy
         return r;
@@ -1042,14 +1048,17 @@ class CostAnalyzer {
       return unbounded;
     }
     fn_stack_.insert(name);
-    // Function bodies run with unknown parameters and globals.
+    // Function bodies run with unknown parameters and globals, and a
+    // `break` in one never leaves the caller's loop.
     std::vector<CEnv> saved = std::move(env_);
     env_.clear();
     env_.emplace_back();
     env_.emplace_back();
+    auto saved_breaks = std::exchange(break_envs_, {});
     const double grown_before = grown_;
     Cost c = CostOfBlock(fns_[name]->body);
     env_ = std::move(saved);
+    break_envs_ = std::move(saved_breaks);
     fn_stack_.erase(name);
     fn_memo_[name] = c;
     fn_grown_[name] = grown_ - grown_before;
@@ -1119,20 +1128,12 @@ class CostAnalyzer {
       case Stmt::Kind::kWhile: {
         const LoopGrowth growth = EnterLoop(st.body, st.expr.get());
         EvalResult cond = EvalC(*st.expr);
-        std::optional<double> bound = WhileBound(st, cond.val);
-        // The flow-sensitive interval pass can only tighten (or supply) a
-        // bound, never loosen one.
-        if (const std::optional<double> ov = Override(st.line, 0)) {
-          bound = bound ? std::min(*bound, *ov) : *ov;
-        }
-        std::set<std::string> assigned;
-        CollectAssigned(st.body, assigned);
-        Widen(assigned);
-        env_.emplace_back();
-        Cost body_c = CostOfBlock(st.body);
-        env_.pop_back();
+        const std::optional<double> bound = WhileBound(st, cond.val);
+        const std::vector<CEnv> entry = env_;
+        Cost body_c = CostOfLoopBody(st, nullptr);
         // The condition runs once more than the body.
         LeaveLoop(growth, bound ? std::optional(*bound + 1) : std::nullopt);
+        JoinLoopExits(entry);
         if (!bound.has_value()) {
           Emit("SA401", st.line,
                "cannot derive a static bound for this while loop");
@@ -1174,21 +1175,14 @@ class CostAnalyzer {
           }
           var_range = IHull(s0, s1);
         }
-        if (const std::optional<double> ov = Override(st.line, 1)) {
-          bound = bound ? std::min(*bound, *ov) : *ov;
-        }
-        std::set<std::string> assigned;
-        CollectAssigned(st.body, assigned);
-        Widen(assigned);
+        const std::vector<CEnv> entry = env_;
         const LoopGrowth growth = EnterLoop(st.body, nullptr);
-        env_.emplace_back();
         CVal loop_var;
         loop_var.num = var_range;
         loop_var.truth = true;
-        env_.back()[st.name] = loop_var;
-        Cost body_c = CostOfBlock(st.body);
-        env_.pop_back();
+        Cost body_c = CostOfLoopBody(st, &loop_var);
         LeaveLoop(growth, bound);
+        JoinLoopExits(entry);
         if (!bound.has_value()) {
           Emit("SA401", st.line,
                "cannot derive a static bound for this for loop "
@@ -1208,9 +1202,37 @@ class CostAnalyzer {
         if (st.expr) c.Add(EvalC(*st.expr).cost);
         return c;
       case Stmt::Kind::kBreak:
+        if (!break_envs_.empty()) break_envs_.back().push_back(env_);
         return c;
     }
     return c;
+  }
+
+  // One walk of a loop body from the widened head state: every name the
+  // body assigns is unknown, since the walk stands for any trip. The
+  // numeric-for variable, when given, is bound in the body's scope. Opens
+  // the loop's list of break states, which JoinLoopExits closes.
+  Cost CostOfLoopBody(const Stmt& loop, const CVal* loop_var) {
+    std::set<std::string> assigned;
+    CollectAssigned(loop.body, assigned);
+    Widen(assigned);
+    break_envs_.emplace_back();
+    env_.emplace_back();
+    if (loop_var != nullptr) env_.back()[loop.name] = *loop_var;
+    Cost c = CostOfBlock(loop.body);
+    env_.pop_back();
+    return c;
+  }
+
+  // The state after a loop joins every way out of it: the body's last
+  // trip, no trip at all (`entry`), and each `break`. Runs after
+  // LeaveLoop, so length facts made before the loop are read through the
+  // restored barrier and the scaled growth count.
+  void JoinLoopExits(const std::vector<CEnv>& entry) {
+    JoinEnv(env_, entry);
+    for (const std::vector<CEnv>& at_break : break_envs_.back())
+      JoinEnv(env_, at_break);
+    break_envs_.pop_back();
   }
 
   // --- while-loop bound derivation ----------------------------------------
@@ -1351,28 +1373,32 @@ class CostAnalyzer {
     env_ = saved;
 
     if (!limit || !step) return std::nullopt;
+    // Trips until the variable crosses the limit: ceil(span/step) for a
+    // strict comparison, floor(span/step) + 1 when equality still runs.
+    const bool strict = cond.bin_op == BinOp::kLt || cond.bin_op == BinOp::kGt;
+    double span = 0;
+    double stride = 0;
     if (var_must_grow) {
       if (step->lo <= 0) return std::nullopt;  // may never reach the limit
-      return std::max(0.0, (limit->hi - entry_range.lo) / step->lo + 2);
+      span = limit->hi - entry_range.lo;
+      stride = step->lo;
+    } else {
+      if (step->hi >= 0) return std::nullopt;
+      span = entry_range.hi - limit->lo;
+      stride = -step->hi;
     }
-    if (step->hi >= 0) return std::nullopt;
-    return std::max(0.0, (entry_range.hi - limit->lo) / -step->hi + 2);
+    const double trips =
+        strict ? std::ceil(span / stride) : std::floor(span / stride) + 1;
+    return std::max(0.0, trips);
   }
 
   const Program& program_;
   const AnalyzerOptions& options_;
   std::vector<Diagnostic>& out_;
-  const std::map<LoopKey, double>* trip_overrides_ = nullptr;
-
-  // IR-derived bound for a loop, when the interval pass proved one.
-  std::optional<double> Override(int line, int kind) const {
-    if (trip_overrides_ == nullptr) return std::nullopt;
-    const auto it = trip_overrides_->find({line, kind});
-    if (it == trip_overrides_->end()) return std::nullopt;
-    return it->second;
-  }
 
   std::vector<CEnv> env_;
+  // Per enclosing loop, innermost last: the state at each `break` in it.
+  std::vector<std::vector<std::vector<CEnv>>> break_envs_;
   std::map<std::string, const Stmt*> fns_;
   std::map<std::string, Cost> fn_memo_;
   std::map<std::string, double> fn_grown_;
@@ -1397,23 +1423,17 @@ AnalysisReport Analyze(const Program& program, const AnalyzerOptions& options,
   scopes.Run();
 
   // Flow-sensitive layer: lower to the dataflow IR, optimize, and collect
-  // SA5xx diagnostics, interval trip bounds, and the information-flow
-  // manifest from the optimized module.
-  IrAnalysis ir_facts;
-  if (options.ir_passes) {
-    ir::Module mod = ir::Lower(program);
-    IrAnalysisOptions ir_opts;
-    ir_opts.default_samples_per_window = options.default_samples_per_window;
-    ir_facts = AnalyzeModule(mod, ir_opts);
-    report.diagnostics.insert(report.diagnostics.end(),
-                              ir_facts.diagnostics.begin(),
-                              ir_facts.diagnostics.end());
-    report.flow = std::move(ir_facts.flow);
-    if (optimized != nullptr) *optimized = std::move(mod);
-  }
+  // SA5xx diagnostics and the information-flow manifest from the
+  // optimized module.
+  ir::Module mod = ir::Lower(program);
+  IrAnalysis ir_facts = AnalyzeModule(mod);
+  report.diagnostics.insert(report.diagnostics.end(),
+                            ir_facts.diagnostics.begin(),
+                            ir_facts.diagnostics.end());
+  report.flow = std::move(ir_facts.flow);
+  if (optimized != nullptr) *optimized = std::move(mod);
 
-  CostAnalyzer coster(program, options, report.diagnostics,
-                      options.ir_passes ? &ir_facts.trip_bounds : nullptr);
+  CostAnalyzer coster(program, options, report.diagnostics);
   const Cost cost = coster.Run();
 
   report.manifest.required_sensors.assign(required.begin(), required.end());

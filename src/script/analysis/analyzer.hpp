@@ -18,6 +18,10 @@
 //                       sensors::AcquisitionEnergyMj; rejects unboundable
 //                       loops, recursion, and over-budget scripts
 //
+// The program is also lowered to the dataflow IR, whose passes (passes.hpp)
+// add the flow-sensitive SA5xx diagnostics and the information-flow
+// manifest. Loop bounds come from pass 4 alone.
+//
 // The analyzer is deliberately conservative in both directions: it only
 // *errors* on programs that are guaranteed wrong if the flagged code runs
 // (or whose cost it cannot bound, which the registration contract treats
@@ -54,16 +58,11 @@ struct AnalyzerOptions {
   // Extra host functions to accept (variadic, untyped). Lets embedders that
   // register bespoke helpers keep their scripts lint-clean.
   std::vector<std::string> extra_host_fns;
-  // Lower to the dataflow IR and run the flow-sensitive passes (SA5xx,
-  // interval loop-bound tightening, the information-flow manifest). Off
-  // yields the purely syntactic analysis; tests use it to assert the IR
-  // bounds never exceed the syntactic ones.
-  bool ir_passes = true;
 };
 
 // Analyze a parsed program. With `optimized`, also hands over the module
-// the IR passes optimized (filled when options.ir_passes is on, whatever
-// the diagnostics say): what a task executes, so it compiles once.
+// the IR passes optimized (filled whatever the diagnostics say): what a
+// task executes, so it compiles once.
 [[nodiscard]] AnalysisReport Analyze(const Program& program,
                                      const AnalyzerOptions& options = {},
                                      ir::Module* optimized = nullptr);

@@ -7,16 +7,14 @@
 //     State Boundary(const ir::Function&);     // entry fact (forward) or
 //                                              // exit fact (backward)
 //     State Bottom(const ir::Function&);       // identity for join
-//     // Merge `from` into `into` (the entry fact of `target_block`);
-//     // return true if `into` changed. Widening decisions key off
-//     // target_block (loop heads see repeated changing joins).
-//     bool Join(State& into, const State& from, int target_block);
+//     // Merge `from` into `into`; return true if `into` changed.
+//     bool Join(State& into, const State& from);
 //     void Transfer(const ir::Function&, int block, State&);  // in place
 //   };
 //
 // Solve() iterates blocks in a deterministic round-robin worklist until a
 // fixpoint, returning the entry (forward) or exit (backward) state of every
-// block. Widening, when a pass needs it (intervals), lives inside Join.
+// block. Every domain's lattice has finite height, so no pass widens.
 #pragma once
 
 #include <vector>
@@ -47,11 +45,11 @@ DataflowResult<Domain> Solve(const ir::Function& fn, Domain& domain,
   // reducible CFGs structured lowering produces.
   std::vector<char> dirty(n, 1);
   if (dir == Direction::kForward) {
-    if (n > 0) domain.Join(result.in[0], domain.Boundary(fn), 0);
+    if (n > 0) domain.Join(result.in[0], domain.Boundary(fn));
   } else {
     for (std::size_t b = 0; b < n; ++b) {
       if (fn.blocks[b].succs.empty())
-        domain.Join(result.in[b], domain.Boundary(fn), static_cast<int>(b));
+        domain.Join(result.in[b], domain.Boundary(fn));
     }
   }
 
@@ -69,7 +67,7 @@ DataflowResult<Domain> Solve(const ir::Function& fn, Domain& domain,
                                          : fn.blocks[b].preds;
       for (const int s : next) {
         if (s < 0 || static_cast<std::size_t>(s) >= n) continue;
-        if (domain.Join(result.in[static_cast<std::size_t>(s)], out, s)) {
+        if (domain.Join(result.in[static_cast<std::size_t>(s)], out)) {
           dirty[static_cast<std::size_t>(s)] = 1;
           any = true;
         }

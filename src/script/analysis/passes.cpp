@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
+#include <map>
 #include <optional>
-#include <set>
 
 #include "script/analysis/dataflow.hpp"
 #include "script/analysis/host_api.hpp"
@@ -19,8 +18,6 @@ using ir::Inst;
 using ir::kNoReg;
 using ir::Op;
 using ir::Reg;
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // --- shared helpers --------------------------------------------------------
 
@@ -294,7 +291,7 @@ struct ConstDomain {
     return false;
   }
 
-  bool Join(State& into, const State& from, int) const {
+  bool Join(State& into, const State& from) const {
     bool changed = false;
     for (std::size_t i = 0; i < into.size(); ++i)
       changed |= JoinCV(into[i], from[i]);
@@ -462,7 +459,7 @@ struct DefDomain {
   }
   State Bottom(const ir::Function&) const { return {}; }
 
-  bool Join(State& into, const State& from, int) const {
+  bool Join(State& into, const State& from) const {
     if (!from.reached) return false;
     if (!into.reached) {
       into = from;
@@ -581,7 +578,7 @@ struct LiveDomain {
   State Bottom(const ir::Function& fn) const {
     return State(fn.num_regs, 0);
   }
-  bool Join(State& into, const State& from, int) const {
+  bool Join(State& into, const State& from) const {
     bool changed = false;
     for (std::size_t i = 0; i < into.size(); ++i) {
       if (!into[i] && from[i]) {
@@ -703,494 +700,7 @@ void OptimizeModule(ir::Module& m, OptimizeReport* report) {
   }
 }
 
-// --- interval analysis -----------------------------------------------------
-
 namespace {
-
-struct Iv {
-  bool bot = true;
-  double lo = kInf;
-  double hi = -kInf;
-
-  static Iv Full() { return Iv{false, -kInf, kInf}; }
-  static Iv Point(double d) { return Iv{false, d, d}; }
-  [[nodiscard]] bool IsPoint() const { return !bot && lo == hi; }
-};
-
-Iv MakeIv(double lo, double hi) {
-  if (std::isnan(lo) || std::isnan(hi)) return Iv::Full();
-  return Iv{false, lo, hi};
-}
-
-Iv IvAdd(const Iv& a, const Iv& b) {
-  if (a.bot || b.bot) return Iv::Full();
-  return MakeIv(a.lo + b.lo, a.hi + b.hi);
-}
-
-Iv IvSub(const Iv& a, const Iv& b) {
-  if (a.bot || b.bot) return Iv::Full();
-  return MakeIv(a.lo - b.hi, a.hi - b.lo);
-}
-
-Iv IvMul(const Iv& a, const Iv& b) {
-  if (a.bot || b.bot) return Iv::Full();
-  const double p[4] = {a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi};
-  double lo = p[0], hi = p[0];
-  for (const double v : p) {
-    if (std::isnan(v)) return Iv::Full();
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  return MakeIv(lo, hi);
-}
-
-Iv IvNeg(const Iv& a) {
-  if (a.bot) return Iv::Full();
-  return MakeIv(-a.hi, -a.lo);
-}
-
-struct IvState {
-  bool reached = false;
-  std::vector<Iv> regs;
-  std::vector<Iv> globals;
-};
-
-struct IvDomain {
-  using State = IvState;
-  const ir::Module& m;
-  const ModuleInfo& info;
-  // Widening: after this many changing joins into a block, changing bounds
-  // jump straight to infinity so loops converge.
-  static constexpr int kWidenAfter = 8;
-  mutable std::vector<int> join_counts;
-
-  State Boundary(const ir::Function& fn) const {
-    State s;
-    s.reached = true;
-    s.regs.assign(fn.num_regs, Iv::Full());
-    s.globals.assign(m.global_names.size(), Iv::Full());
-    return s;
-  }
-  State Bottom(const ir::Function&) const { return {}; }
-
-  static bool JoinIv(Iv& into, const Iv& from, bool widen) {
-    if (from.bot) return false;
-    if (into.bot) {
-      into = from;
-      return true;
-    }
-    bool changed = false;
-    if (from.lo < into.lo) {
-      into.lo = widen ? -kInf : from.lo;
-      changed = true;
-    }
-    if (from.hi > into.hi) {
-      into.hi = widen ? kInf : from.hi;
-      changed = true;
-    }
-    return changed;
-  }
-
-  bool Join(State& into, const State& from, int target_block) const {
-    if (!from.reached) return false;
-    if (!into.reached) {
-      into = from;
-      return true;
-    }
-    if (join_counts.size() <= static_cast<std::size_t>(target_block))
-      join_counts.resize(static_cast<std::size_t>(target_block) + 1, 0);
-    const bool widen =
-        join_counts[static_cast<std::size_t>(target_block)] > kWidenAfter;
-    bool changed = false;
-    for (std::size_t i = 0; i < into.regs.size(); ++i)
-      changed |= JoinIv(into.regs[i], from.regs[i], widen);
-    for (std::size_t i = 0; i < into.globals.size(); ++i)
-      changed |= JoinIv(into.globals[i], from.globals[i], widen);
-    if (changed) ++join_counts[static_cast<std::size_t>(target_block)];
-    return changed;
-  }
-
-  void Apply(const Inst& inst, State& s) const {
-    switch (inst.op) {
-      case Op::kConst: {
-        const Value& v = m.consts[inst.imm];
-        s.regs[inst.dst] =
-            v.is_number() ? Iv::Point(v.as_number()) : Iv::Full();
-        break;
-      }
-      case Op::kMove:
-        s.regs[inst.dst] = s.regs[inst.a];
-        break;
-      case Op::kLoadGlobal:
-        s.regs[inst.dst] = s.globals[inst.a];
-        break;
-      case Op::kStoreGlobal:
-        s.globals[inst.a] = s.regs[inst.b];
-        break;
-      case Op::kUnOp:
-        switch (static_cast<UnOp>(inst.sub)) {
-          case UnOp::kNeg:
-            s.regs[inst.dst] = IvNeg(s.regs[inst.a]);
-            break;
-          case UnOp::kLen:
-            s.regs[inst.dst] = MakeIv(0.0, kInf);
-            break;
-          default:
-            s.regs[inst.dst] = Iv::Full();
-            break;
-        }
-        break;
-      case Op::kBinOp:
-        switch (static_cast<BinOp>(inst.sub)) {
-          case BinOp::kAdd:
-            s.regs[inst.dst] = IvAdd(s.regs[inst.a], s.regs[inst.b]);
-            break;
-          case BinOp::kSub:
-            s.regs[inst.dst] = IvSub(s.regs[inst.a], s.regs[inst.b]);
-            break;
-          case BinOp::kMul:
-            s.regs[inst.dst] = IvMul(s.regs[inst.a], s.regs[inst.b]);
-            break;
-          default:
-            s.regs[inst.dst] = Iv::Full();
-            break;
-        }
-        break;
-      case Op::kForStep:
-        s.regs[inst.a] = IvAdd(s.regs[inst.a], s.regs[inst.c]);
-        break;
-      case Op::kCall: {
-        if (inst.dst != kNoReg) s.regs[inst.dst] = Iv::Full();
-        const auto it = info.candidates.find(inst.imm);
-        if (it != info.candidates.end()) {
-          for (const std::uint32_t callee : it->second) {
-            for (std::size_t g = 0; g < s.globals.size(); ++g) {
-              if (info.global_writes[callee][g]) s.globals[g] = Iv::Full();
-            }
-          }
-        }
-        break;
-      }
-      case Op::kClearSlots:
-        for (Reg r = inst.a; r < inst.a + inst.b; ++r)
-          s.regs[r] = Iv::Full();
-        break;
-      default:
-        if (HasDst(inst.op) && inst.dst != kNoReg)
-          s.regs[inst.dst] = Iv::Full();
-        break;
-    }
-  }
-
-  void Transfer(const ir::Function& fn, int block, State& s) const {
-    if (!s.reached) return;
-    for (const Inst& inst :
-         fn.blocks[static_cast<std::size_t>(block)].insts)
-      Apply(inst, s);
-  }
-};
-
-// State after executing `block` starting from its solved entry state.
-IvState StateAtBlockExit(const ir::Function& fn, const IvDomain& domain,
-                         const DataflowResult<IvDomain>& df, int block) {
-  IvState s = df.in[static_cast<std::size_t>(block)];
-  domain.Transfer(fn, block, s);
-  return s;
-}
-
-// Blocks reachable from `from` without expanding `stop1`/`stop2`.
-std::set<int> BlocksReachableAvoiding(const ir::Function& fn, int from,
-                                      int stop1, int stop2) {
-  std::set<int> seen;
-  if (from < 0) return seen;
-  std::vector<int> work{from};
-  seen.insert(from);
-  while (!work.empty()) {
-    const int b = work.back();
-    work.pop_back();
-    if (b == stop1 || b == stop2) continue;
-    for (const int s : fn.blocks[static_cast<std::size_t>(b)].succs) {
-      if (seen.insert(s).second) work.push_back(s);
-    }
-  }
-  return seen;
-}
-
-// The register that `r` holds at instruction `upto` of `block`, resolved
-// through kMove chains within the block. Returns the original reg when no
-// in-block definition is found (i.e. a named slot or an earlier block's
-// temp).
-const Inst* DefiningInst(const BasicBlock& block, std::size_t upto, Reg r) {
-  for (std::size_t i = upto; i-- > 0;) {
-    const Inst& inst = block.insts[i];
-    if (HasDst(inst.op) && inst.dst == r) return &inst;
-  }
-  return nullptr;
-}
-
-struct IndVar {
-  bool is_global = false;
-  Reg slot = kNoReg;  // named reg, or global index
-};
-
-// Classify a comparison operand as "the variable var" (load of a named slot
-// or of a global, within the branch block) or not.
-std::optional<IndVar> ClassifyVarOperand(const ir::Function& fn,
-                                         const BasicBlock& block,
-                                         std::size_t cmp_index, Reg r) {
-  if (r < fn.num_named) return IndVar{false, r};
-  const Inst* def = DefiningInst(block, cmp_index, r);
-  if (def != nullptr && def->op == Op::kLoadGlobal)
-    return IndVar{true, def->a};
-  if (def != nullptr && def->op == Op::kMove && def->a < fn.num_named)
-    return IndVar{false, def->a};
-  return std::nullopt;
-}
-
-// While-loop trip bound via simple induction-variable detection:
-//   while var <op> limit do ... var = var +/- k ... end
-// with exactly one unconditional store to var per iteration and a constant
-// step. Returns nullopt when the pattern does not hold.
-std::optional<double> WhileTripBound(const ir::Function& fn,
-                                     const ModuleInfo& info,
-                                     const IvDomain& domain,
-                                     const DataflowResult<IvDomain>& df,
-                                     const ir::LoopInfo& loop) {
-  // Find the conditional branch that enters the body or exits the loop.
-  int branch_block = -1;
-  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-    const auto& insts = fn.blocks[b].insts;
-    if (insts.empty()) continue;
-    const Inst& last = insts.back();
-    if (last.op == Op::kBranch && last.sub == 1 &&
-        last.then_block == loop.body_block &&
-        last.else_block == loop.exit_block) {
-      branch_block = static_cast<int>(b);
-      break;
-    }
-  }
-  if (branch_block < 0) return std::nullopt;
-  const BasicBlock& bb = fn.blocks[static_cast<std::size_t>(branch_block)];
-  const Reg cond = bb.insts.back().a;
-
-  // The condition must be a single comparison var <op> limit.
-  std::size_t cmp_index = bb.insts.size();
-  const Inst* cmp = nullptr;
-  for (std::size_t i = bb.insts.size() - 1; i-- > 0;) {
-    if (HasDst(bb.insts[i].op) && bb.insts[i].dst == cond) {
-      cmp = &bb.insts[i];
-      cmp_index = i;
-      break;
-    }
-  }
-  if (cmp == nullptr || cmp->op != Op::kBinOp) return std::nullopt;
-  const auto op = static_cast<BinOp>(cmp->sub);
-  if (op != BinOp::kLt && op != BinOp::kLe && op != BinOp::kGt &&
-      op != BinOp::kGe)
-    return std::nullopt;
-
-  // One side is the induction variable, the other the limit.
-  const std::optional<IndVar> lhs =
-      ClassifyVarOperand(fn, bb, cmp_index, cmp->a);
-  const std::optional<IndVar> rhs =
-      ClassifyVarOperand(fn, bb, cmp_index, cmp->b);
-  // Try the left side as var first, then the (mirrored) right side.
-  for (int side = 0; side < 2; ++side) {
-    const std::optional<IndVar>& var_opt = side == 0 ? lhs : rhs;
-    if (!var_opt) continue;
-    const IndVar var = *var_opt;
-    const Reg limit_reg = side == 0 ? cmp->b : cmp->a;
-    // Mirror the comparison when var is on the right: limit < var == var > limit.
-    BinOp dir = op;
-    if (side == 1) {
-      dir = op == BinOp::kLt   ? BinOp::kGt
-            : op == BinOp::kLe ? BinOp::kGe
-            : op == BinOp::kGt ? BinOp::kLt
-                               : BinOp::kLe;
-    }
-
-    // All loop blocks: reachable from the head without leaving via exit.
-    const std::set<int> loop_blocks =
-        BlocksReachableAvoiding(fn, loop.head_block, loop.exit_block, -1);
-
-    // Exactly one store to var inside the loop, and no call that may write
-    // it (globals only; named slots cannot be written by callees).
-    int store_block = -1;
-    std::size_t store_index = 0;
-    int store_count = 0;
-    bool hazard = false;
-    for (const int b : loop_blocks) {
-      const auto& insts = fn.blocks[static_cast<std::size_t>(b)].insts;
-      for (std::size_t i = 0; i < insts.size(); ++i) {
-        const Inst& inst = insts[i];
-        const bool writes_var =
-            var.is_global
-                ? (inst.op == Op::kStoreGlobal && inst.a == var.slot)
-                : ((HasDst(inst.op) && inst.dst == var.slot) ||
-                   (inst.op == Op::kForStep && inst.a == var.slot));
-        if (writes_var) {
-          ++store_count;
-          store_block = b;
-          store_index = i;
-        }
-        if (!var.is_global &&
-            inst.op == Op::kClearSlots && var.slot >= inst.a &&
-            var.slot < inst.a + inst.b)
-          hazard = true;
-        if (var.is_global && inst.op == Op::kCall) {
-          const auto it = info.candidates.find(inst.imm);
-          if (it != info.candidates.end()) {
-            for (const std::uint32_t callee : it->second)
-              if (info.global_writes[callee][var.slot]) hazard = true;
-          }
-        }
-      }
-    }
-    if (hazard || store_count != 1 || store_block < 0) continue;
-
-    // The store must run on every body->head path (else an iteration can
-    // skip the increment and the bound is unsound).
-    if (loop.body_block != store_block) {
-      const std::set<int> skip = BlocksReachableAvoiding(
-          fn, loop.body_block, store_block, loop.exit_block);
-      if (skip.count(loop.head_block) > 0) continue;
-    }
-
-    // Pattern-match the stored value: var +/- constant step.
-    const BasicBlock& sb = fn.blocks[static_cast<std::size_t>(store_block)];
-    const Inst& store = sb.insts[store_index];
-    Reg src = kNoReg;
-    if (var.is_global && store.op == Op::kStoreGlobal) {
-      src = store.b;
-    } else if (!var.is_global &&
-               (store.op == Op::kMove || store.op == Op::kBinOp)) {
-      src = store.op == Op::kMove ? store.a : store.dst;
-    } else {
-      continue;
-    }
-    const Inst* add = DefiningInst(sb, store_index, src);
-    while (add != nullptr && add->op == Op::kMove)
-      add = DefiningInst(sb, store_index, add->a);
-    if (add == nullptr || add->op != Op::kBinOp) continue;
-    const auto aop = static_cast<BinOp>(add->sub);
-    if (aop != BinOp::kAdd && aop != BinOp::kSub) continue;
-
-    const auto IsVar = [&](Reg r) {
-      const std::optional<IndVar> c = ClassifyVarOperand(
-          fn, sb, static_cast<std::size_t>(add - sb.insts.data()), r);
-      return c && c->is_global == var.is_global && c->slot == var.slot;
-    };
-    // Interval of the non-var operand at the add site.
-    IvState at_store = df.in[static_cast<std::size_t>(store_block)];
-    const auto add_index = static_cast<std::size_t>(add - sb.insts.data());
-    for (std::size_t i = 0; i < add_index; ++i)
-      domain.Apply(sb.insts[i], at_store);
-    double k = 0.0;
-    if (IsVar(add->a)) {
-      const Iv kv = at_store.regs[add->b];
-      if (!kv.IsPoint()) continue;
-      k = aop == BinOp::kAdd ? kv.lo : -kv.lo;
-    } else if (aop == BinOp::kAdd && IsVar(add->b)) {
-      const Iv kv = at_store.regs[add->a];
-      if (!kv.IsPoint()) continue;
-      k = kv.lo;
-    } else {
-      continue;
-    }
-    if (k == 0.0 || !std::isfinite(k)) continue;
-
-    // Initial value: var at the prehead's exit (before the first test).
-    const IvState pre =
-        StateAtBlockExit(fn, domain, df, loop.prehead_block);
-    if (!pre.reached) return 0.0;
-    const Iv v0 = var.is_global ? pre.globals[var.slot] : pre.regs[var.slot];
-    // Limit: its interval right before the comparison, at the fixpoint (so
-    // a limit that changes inside the loop widens and bails below).
-    IvState at_cmp = df.in[static_cast<std::size_t>(branch_block)];
-    for (std::size_t i = 0; i < cmp_index; ++i)
-      domain.Apply(bb.insts[i], at_cmp);
-    const Iv lim = at_cmp.regs[limit_reg];
-    if (v0.bot || lim.bot) continue;
-
-    double trips = -1.0;
-    if (k > 0.0 && (dir == BinOp::kLt || dir == BinOp::kLe)) {
-      const double span = lim.hi - v0.lo;
-      if (!std::isfinite(span)) continue;
-      trips = dir == BinOp::kLt ? std::ceil(span / k)
-                                : std::floor(span / k) + 1.0;
-    } else if (k < 0.0 && (dir == BinOp::kGt || dir == BinOp::kGe)) {
-      const double span = v0.hi - lim.lo;
-      if (!std::isfinite(span)) continue;
-      trips = dir == BinOp::kGt ? std::ceil(span / -k)
-                                : std::floor(span / -k) + 1.0;
-    } else {
-      continue;
-    }
-    if (std::isnan(trips)) continue;
-    return std::max(0.0, trips);
-  }
-  return std::nullopt;
-}
-
-void CollectTripBounds(const ir::Module& m, const ModuleInfo& info,
-                       std::map<LoopKey, double>& bounds) {
-  for (const ir::Function& fn : m.functions) {
-    if (fn.blocks.empty()) continue;
-    IvDomain domain{m, info, {}};
-    const DataflowResult<IvDomain> df =
-        Solve(fn, domain, Direction::kForward);
-    const std::vector<std::uint8_t> reach = ReachableBlocks(fn);
-
-    const auto Record = [&bounds](int line, int kind, double trips) {
-      const LoopKey key{line, kind};
-      const auto it = bounds.find(key);
-      if (it == bounds.end()) {
-        bounds[key] = trips;
-      } else {
-        it->second = std::max(it->second, trips);
-      }
-    };
-
-    for (const ir::LoopInfo& loop : fn.loops) {
-      const int kind = loop.kind == ir::LoopInfo::Kind::kWhile ? 0 : 1;
-      if (loop.head_block < 0 ||
-          !reach[static_cast<std::size_t>(loop.head_block)] ||
-          (loop.body_block >= 0 &&
-           !reach[static_cast<std::size_t>(loop.body_block)])) {
-        Record(loop.line, kind, 0.0);
-        continue;
-      }
-      if (loop.kind == ir::LoopInfo::Kind::kNumericFor) {
-        const IvState pre =
-            StateAtBlockExit(fn, domain, df, loop.prehead_block);
-        if (!pre.reached) {
-          Record(loop.line, kind, 0.0);
-          continue;
-        }
-        const Iv start = pre.regs[loop.counter];
-        const Iv stop = pre.regs[loop.stop];
-        const Iv step = pre.regs[loop.step];
-        if (start.bot || stop.bot || step.bot) continue;
-        double trips = -1.0;
-        if (step.lo > 0.0 && std::isfinite(stop.hi) &&
-            std::isfinite(start.lo) && std::isfinite(step.lo)) {
-          trips = std::floor((stop.hi - start.lo) / step.lo) + 1.0;
-        } else if (step.hi < 0.0 && std::isfinite(start.hi) &&
-                   std::isfinite(stop.lo) && std::isfinite(step.hi)) {
-          trips = std::floor((start.hi - stop.lo) / -step.hi) + 1.0;
-        } else {
-          continue;
-        }
-        if (std::isnan(trips)) continue;
-        Record(loop.line, kind, std::max(0.0, trips));
-      } else {
-        const std::optional<double> trips =
-            WhileTripBound(fn, info, domain, df, loop);
-        if (trips) Record(loop.line, kind, *trips);
-      }
-    }
-  }
-}
 
 // --- sensor taint ----------------------------------------------------------
 
@@ -1242,7 +752,7 @@ struct TaintDomain {
   }
   State Bottom(const ir::Function&) const { return {}; }
 
-  bool Join(State& into, const State& from, int) const {
+  bool Join(State& into, const State& from) const {
     if (!from.reached) return false;
     if (!into.reached) {
       into = from;
@@ -1414,7 +924,7 @@ void RunTaint(const ir::Module& m, const ModuleInfo& info, TaintCtx& ctx) {
 
 // --- analysis driver -------------------------------------------------------
 
-IrAnalysis AnalyzeModule(ir::Module& m, const IrAnalysisOptions&) {
+IrAnalysis AnalyzeModule(ir::Module& m) {
   OptimizeReport rep;
   OptimizeModule(m, &rep);
 
@@ -1444,8 +954,6 @@ IrAnalysis AnalyzeModule(ir::Module& m, const IrAnalysisOptions&) {
   }
 
   const ModuleInfo info = ComputeModuleInfo(m);
-  CollectTripBounds(m, info, out.trip_bounds);
-
   TaintCtx taint;
   RunTaint(m, info, taint);
   bool any_output = false;

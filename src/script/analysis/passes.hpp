@@ -1,7 +1,7 @@
 // IR analysis and optimization passes.
 //
 // Built on the worklist engine in dataflow.hpp, these passes give the
-// analyzer flow-sensitive facts the PR 3 syntactic walk cannot see:
+// analyzer flow-sensitive facts its AST walk cannot see:
 //
 //   constant propagation / folding    SA503 (constant conditions), branch
 //                                     folding, and the groundwork for DCE
@@ -10,19 +10,16 @@
 //   liveness + DCE                    SA502 (dead stores)
 //   reachability diff                 SA504 (code killed by constant
 //                                     branches)
-//   interval analysis                 per-loop trip bounds that tighten
-//                                     the syntactic cost/energy estimates
 //   sensor taint                      the information-flow manifest and
 //                                     SA505 (sensor-free output)
 //
 // OptimizeModule is semantics-preserving and its output is what phones
-// execute; AnalyzeModule additionally derives diagnostics, trip bounds,
-// and the flow manifest from the optimized module.
+// execute; AnalyzeModule additionally derives diagnostics and the flow
+// manifest from the optimized module. Loop bounds and cost are the AST
+// walk's alone (analyzer.cpp, pass 4).
 #pragma once
 
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "script/analysis/diagnostics.hpp"
@@ -57,27 +54,13 @@ struct OptimizeReport {
 // With `report`, records the facts behind SA501-SA504.
 void OptimizeModule(ir::Module& m, OptimizeReport* report = nullptr);
 
-struct IrAnalysisOptions {
-  // Samples assumed when an acquisition call's sample-count argument is not
-  // a compile-time constant; mirrors AnalyzerOptions.
-  int default_samples_per_window = 5;
-};
-
-// Loop identity as the cost pass sees it: (source line, kind) with kind
-// 0 = while, 1 = numeric for.
-using LoopKey = std::pair<int, int>;
-
 struct IrAnalysis {
   std::vector<Diagnostic> diagnostics;  // SA501..SA505
-  // Interval-derived upper bound on body executions per loop. Absent key =
-  // the pass could not bound the loop (the syntactic estimate stands).
-  std::map<LoopKey, double> trip_bounds;
   FlowManifest flow;
 };
 
-// Optimizes `m` in place, then derives diagnostics, trip bounds, and the
-// information-flow manifest from the optimized module.
-[[nodiscard]] IrAnalysis AnalyzeModule(ir::Module& m,
-                                       const IrAnalysisOptions& opts = {});
+// Optimizes `m` in place, then derives diagnostics and the information-flow
+// manifest from the optimized module.
+[[nodiscard]] IrAnalysis AnalyzeModule(ir::Module& m);
 
 }  // namespace sor::script::analysis

@@ -166,6 +166,8 @@ class Executor {
                                       " out of range (size " +
                                       std::to_string(list.size()) + ")");
             }
+            if (WouldCycle(list, regs[inst.c]))
+              return RuntimeError(inst.line, kListCycleError);
             if (i == static_cast<long long>(list.size()) + 1) {
               list.push_back(regs[inst.c]);  // Lua-style append
             } else {

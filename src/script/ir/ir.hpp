@@ -11,7 +11,7 @@
 // The IR serves two consumers:
 //   * the analysis passes in src/script/analysis/ (worklist dataflow over
 //     the CFG: definite assignment, constant propagation, liveness,
-//     intervals, sensor taint), which annotate and optimize it, and
+//     sensor taint), which annotate and optimize it, and
 //   * the IR executor (src/script/ir/exec.cpp), the phone's only script
 //     executor, held bit for bit to the AST walker the tests keep as their
 //     oracle (tests/ast_oracle.cpp).
@@ -106,24 +106,13 @@ struct BasicBlock {
   std::vector<CtrlDep> ctrl_deps;
 };
 
-// Loop metadata recorded at lowering so interval analysis can derive trip
-// bounds without re-discovering loop structure from the CFG.
+// Loop metadata recorded at lowering, so constant folding can tell a
+// while-loop test (SA503 stays silent on `while true`) from an `if`.
 struct LoopInfo {
   enum class Kind : std::uint8_t { kWhile, kNumericFor };
   Kind kind = Kind::kWhile;
-  int line = 0;           // loop statement line
-  int prehead_block = -1;  // block executed once before the first test
-  int head_block = -1;     // condition / ForLoop test block
   int body_block = -1;     // first body block
   int exit_block = -1;     // block control reaches when the loop ends
-  // Numeric for: hidden counter and bound registers (evaluated pre-loop,
-  // loop-invariant by construction).
-  Reg counter = kNoReg;
-  Reg stop = kNoReg;
-  Reg step = kNoReg;
-  // While: the head's condition register, when the condition is a single
-  // comparison `var <op> limit` — var/limit regs for induction detection.
-  Reg while_cond = kNoReg;
 };
 
 struct Function {

@@ -494,12 +494,8 @@ class Lowerer {
         ctx().ctrl.push_back({cond_end, cond});
         const int body = NewBlock();
         const std::size_t loop_idx = ctx().fn.loops.size();
-        ctx().fn.loops.push_back(LoopInfo{.kind = LoopInfo::Kind::kWhile,
-                                          .line = st.line,
-                                          .prehead_block = prehead,
-                                          .head_block = head,
-                                          .body_block = body,
-                                          .while_cond = cond});
+        ctx().fn.loops.push_back(
+            LoopInfo{.kind = LoopInfo::Kind::kWhile, .body_block = body});
         ctx().loop_stack.push_back(LoopCtx{-1});
         const std::size_t loop_stack_idx = ctx().loop_stack.size() - 1;
         SetBlock(body);
@@ -561,14 +557,8 @@ class Lowerer {
         ctx().ctrl.push_back({head, step});
         const int body = NewBlock();
         const std::size_t loop_idx = ctx().fn.loops.size();
-        ctx().fn.loops.push_back(LoopInfo{.kind = LoopInfo::Kind::kNumericFor,
-                                          .line = st.line,
-                                          .prehead_block = prehead,
-                                          .head_block = head,
-                                          .body_block = body,
-                                          .counter = counter,
-                                          .stop = stop,
-                                          .step = step});
+        ctx().fn.loops.push_back(
+            LoopInfo{.kind = LoopInfo::Kind::kNumericFor, .body_block = body});
         ctx().loop_stack.push_back(LoopCtx{-1});
         const std::size_t loop_stack_idx = ctx().loop_stack.size() - 1;
         SetBlock(body);
@@ -725,12 +715,6 @@ class Lowerer {
         }
       }
       for (BasicBlock::CtrlDep& dep : b.ctrl_deps) remap(dep.cond);
-    }
-    for (LoopInfo& loop : fc.fn.loops) {
-      remap(loop.counter);
-      remap(loop.stop);
-      remap(loop.step);
-      remap(loop.while_cond);
     }
     fc.fn.num_named = named;
     fc.fn.num_regs = named + fc.max_temp;

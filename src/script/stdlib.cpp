@@ -59,6 +59,7 @@ void InstallStdlib(HostRegistry& reg) {
     if (args.size() != 2) return WrongArgs("push: expects (list, value)");
     Result<ListPtr> list = ListArg(args, 0, "push");
     if (!list.ok()) return list.error();
+    if (WouldCycle(*list.value(), args[1])) return WrongArgs(kListCycleError);
     list.value()->push_back(args[1]);
     return Value(static_cast<double>(list.value()->size()));
   });

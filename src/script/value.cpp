@@ -1,9 +1,28 @@
 #include "script/value.hpp"
 
 #include <cmath>
+#include <set>
 #include <sstream>
 
 namespace sor::script {
+
+bool WouldCycle(const List& list, const Value& v) {
+  if (!v.is_list()) return false;
+  // Lists never form cycles, so this walk ends; `seen` keeps a list shared
+  // many times over from being walked more than once.
+  std::vector<const List*> todo{v.as_list().get()};
+  std::set<const List*> seen;
+  while (!todo.empty()) {
+    const List* l = todo.back();
+    todo.pop_back();
+    if (l == &list) return true;
+    if (!seen.insert(l).second) continue;
+    for (const Value& e : *l) {
+      if (e.is_list()) todo.push_back(e.as_list().get());
+    }
+  }
+  return false;
+}
 
 bool Value::Equals(const Value& o) const {
   if (kind_ != o.kind_) return false;

@@ -65,4 +65,12 @@ class Value {
   ListPtr list_;
 };
 
+// Whether storing `v` into `list` would make `list` reach itself. Lists
+// are reference counted, so such a cycle would never be freed (and would
+// recurse forever in Equals and ToDisplayString): every list store refuses
+// it with kListCycleError.
+[[nodiscard]] bool WouldCycle(const List& list, const Value& v);
+inline constexpr const char* kListCycleError =
+    "a list cannot contain itself";
+
 }  // namespace sor::script

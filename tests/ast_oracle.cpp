@@ -105,6 +105,8 @@ class AstWalker {
                                 "list index " + std::to_string(idx) +
                                     " out of range (size " +
                                     std::to_string(list.size()) + ")");
+          if (WouldCycle(list, v.value()))
+            return RuntimeError(st.line, kListCycleError);
           if (idx == static_cast<long long>(list.size()) + 1) {
             list.push_back(std::move(v).value());  // Lua-style append
           } else {

@@ -15,9 +15,12 @@
 //     node (and line, and host call) under all three engines, and
 //   * the battery partitioned across 1/2/8 worker threads, asserting the
 //     aggregated result fingerprints are thread-count invariant.
+// It also holds the analyzer to its word: every program it bounds (the
+// battery, the example scripts) runs within that bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -415,6 +418,12 @@ TEST(IrParity, IndexErrors) {
   ExpectParity("local l = {1}\nprint(l[0])\n");
 }
 
+TEST(IrParity, ListCycleRefusedAtInsertion) {
+  ExpectParity("local l = {}\npush(l, l)\n");
+  ExpectParity("local l = {}\nl[1] = l\n");
+  ExpectParity("local l = {}\nlocal box = {l}\nl[1] = box\nprint(#l)\n");
+}
+
 TEST(IrParity, EvaluationOrderValueBeforeListBeforeIndex) {
   // list[i] = v evaluates v first, then the list, then the index — observable
   // through print side effects.
@@ -600,17 +609,18 @@ TEST(IrSteps, TicksBeyondOneInstructionsCapacity) {
 }
 
 // The shipped scenario scripts, against sensor stand-ins that return
-// `samples` deterministic readings, at every budget up to their step count.
-HostRegistry MakeExampleHost() {
+// `samples` deterministic readings (added to `*acquired` when given).
+HostRegistry MakeExampleHost(double* acquired = nullptr) {
   HostRegistry host;
   InstallStdlib(host);
   for (const analysis::HostSignature& sig : analysis::HostSignatures()) {
     if (!sig.sensor.has_value()) continue;
     host.Register(std::string(sig.name),
-                  [](std::span<const Value> args) -> Result<Value> {
+                  [acquired](std::span<const Value> args) -> Result<Value> {
                     int samples = 5;
                     if (!args.empty() && args[0].is_number())
                       samples = std::max(1, static_cast<int>(args[0].as_number()));
+                    if (acquired != nullptr) *acquired += samples;
                     List values;
                     for (int i = 0; i < samples; ++i)
                       values.emplace_back(30.0 + 4.5 * i);
@@ -631,7 +641,8 @@ HostRegistry MakeExampleHost() {
   return host;
 }
 
-TEST(IrSteps, ExampleScriptsAtEveryBudget) {
+// (name, source) of every example script, then both built-in scripts.
+std::vector<std::pair<std::string, std::string>> ExampleScripts() {
   std::vector<std::pair<std::string, std::string>> scripts;
   for (const auto& entry :
        std::filesystem::directory_iterator(SOR_EXAMPLE_SCRIPTS_DIR)) {
@@ -642,16 +653,46 @@ TEST(IrSteps, ExampleScriptsAtEveryBudget) {
     scripts.emplace_back(entry.path().filename().string(), text.str());
   }
   std::sort(scripts.begin(), scripts.end());
-  ASSERT_GE(scripts.size(), 4u);
   scripts.emplace_back("builtin:trails",
                        core::DefaultScript(world::PlaceCategory::kHikingTrail));
   scripts.emplace_back("builtin:coffee",
                        core::DefaultScript(world::PlaceCategory::kCoffeeShop));
+  return scripts;
+}
+
+// The step budget a bounded program is admitted with: its worst case.
+std::uint64_t BudgetOfBound(const analysis::AnalysisReport& report) {
+  return static_cast<std::uint64_t>(
+      std::floor(std::min(report.manifest.worst_case_steps, 1e15)));
+}
+
+TEST(IrSteps, ExampleScriptsAtEveryBudget) {
+  const std::vector<std::pair<std::string, std::string>> scripts =
+      ExampleScripts();
+  ASSERT_GE(scripts.size(), 6u);
   const HostRegistry host = MakeExampleHost();
   for (const auto& [name, source] : scripts) {
     EXPECT_EQ(BudgetSweepMismatches(source, host, name), 0) << name;
     const Result<ExecutionResult> run = oracle::Run(source, host);
     ASSERT_TRUE(run.ok()) << name << ": " << run.error().str();
+  }
+}
+
+// The analyzer's worst case covers a run: at a step budget equal to the
+// bound the script finishes, having acquired no more than the bound.
+TEST(IrSteps, ExampleScriptsRunWithinTheirBounds) {
+  for (const auto& [name, source] : ExampleScripts()) {
+    ir::Module module;
+    const analysis::AnalysisReport report =
+        analysis::AnalyzeSource(source, {}, &module);
+    ASSERT_TRUE(report.manifest.cost_bounded) << name;
+    double acquired = 0;
+    InterpreterOptions opts;
+    opts.max_steps = BudgetOfBound(report);
+    const Result<ExecutionResult> run =
+        ir::Execute(module, MakeExampleHost(&acquired), opts);
+    EXPECT_TRUE(run.ok()) << name << ": " << run.error().str();
+    EXPECT_LE(acquired, report.manifest.worst_case_acquisitions) << name;
   }
 }
 
@@ -948,6 +989,34 @@ TEST(IrFuzz, EveryBudgetAllSeeds) {
       if (mismatches > 5) return;  // don't drown the log
     }
   }
+}
+
+TEST(IrFuzz, BoundedProgramsRunWithinTheirStepBound) {
+  // Every program the analyzer bounds, run with its bound as the budget,
+  // must never exhaust it.
+  const HostRegistry host = MakeTestHost();
+  analysis::AnalyzerOptions options;
+  options.extra_host_fns = {"get_value", "get_series", "host_fail"};
+  int bounded = 0;
+  int overruns = 0;
+  for (const std::uint32_t seed : kFuzzSeeds) {
+    for (const std::string& src : GeneratePrograms(seed)) {
+      ir::Module module;
+      const analysis::AnalysisReport report =
+          analysis::AnalyzeSource(src, options, &module);
+      if (!report.manifest.cost_bounded) continue;
+      ++bounded;
+      InterpreterOptions opts;
+      opts.max_steps = BudgetOfBound(report);
+      if (IsBudgetError(ir::Execute(module, host, opts))) {
+        ++overruns;
+        ADD_FAILURE() << "bound of " << report.manifest.worst_case_steps
+                      << " steps overrun (seed " << seed << "):\n" << src;
+      }
+    }
+  }
+  EXPECT_EQ(overruns, 0);
+  EXPECT_GE(bounded, 550);  // the generator's loops are bounded by design
 }
 
 TEST(IrFuzz, ThreadCountInvariantFingerprints) {

@@ -213,6 +213,28 @@ print(#a)
   EXPECT_EQ(RunScript(src).output, "2\n");
 }
 
+TEST(Interp, ListCannotContainItself) {
+  // A list stored into itself, directly or through a list it holds, would
+  // form a reference cycle that is never freed: both kinds of store refuse.
+  for (const char* src : {"local l = {}\npush(l, l)\n",
+                          "local l = {}\nl[1] = l\n",
+                          "local l = {}\nlocal box = {l}\npush(l, box)\n",
+                          "local l = {1}\nlocal box = {{l}}\nl[1] = box\n"}) {
+    const Error e = ScriptError(src);
+    EXPECT_EQ(e.code, Errc::kScriptError) << src;
+    EXPECT_NE(e.message.find(kListCycleError), std::string::npos) << src;
+  }
+  // Sharing one list many times over is not a cycle.
+  EXPECT_EQ(RunScript("local a = {}\n"
+                      "local b = {a, a}\n"
+                      "push(b, a)\n"
+                      "b[1] = {a, b[2]}\n"
+                      "push(a, 1)\n"
+                      "print(#b, #a)\n")
+                .output,
+            "3\t1\n");
+}
+
 TEST(Interp, ListIndexErrors) {
   EXPECT_EQ(ScriptError("local a = {1} print(a[0])").code, Errc::kScriptError);
   EXPECT_EQ(ScriptError("local a = {1} print(a[3])").code, Errc::kScriptError);

@@ -1,5 +1,6 @@
 #include "codec/barcode.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "codec/crc32.hpp"
@@ -79,8 +80,8 @@ struct Corner {
   int r0, c0;
 };
 
-std::vector<Corner> FinderCorners(int size) {
-  return {{0, 0}, {0, size - kFinder}, {size - kFinder, 0}};
+std::array<Corner, 3> FinderCorners(int size) {
+  return {{{0, 0}, {0, size - kFinder}, {size - kFinder, 0}}};
 }
 
 bool InFinder(int size, int r, int c) {

@@ -3,9 +3,10 @@
 // Wires together the Message Handler (a net::Endpoint speaking the binary
 // SOR protocol), the Local Preference Manager, the Sensing Task Manager
 // (the task map + RunDue pump), the Script Interpreter (the IR executor
-// inside TaskInstance, running the module the task compiled once), and the
-// Sensor Manager with one Provider per supported sensor (all Nexus4
-// sensors + the Sensordrone suite over the Bluetooth link).
+// inside TaskInstance, running the module every task of the same script
+// shares, compiled once per process), and the Sensor Manager with one
+// Provider per supported sensor (all Nexus4 sensors + the Sensordrone
+// suite over the Bluetooth link).
 //
 // The user-facing trigger is ScanBarcode*: decode the 2D barcode, send a
 // ParticipationRequest with the phone's (preference-filtered) location and

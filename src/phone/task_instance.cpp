@@ -1,6 +1,11 @@
 #include "phone/task_instance.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 #include "common/log.hpp"
 #include "script/analysis/analyzer.hpp"
@@ -26,6 +31,80 @@ std::vector<std::string> AcquisitionFunctionNames() {
   return names;
 }
 
+namespace {
+
+// What a task needs of one compile: the optimized module every instant
+// executes, and the analysis verdict with its rendered diagnostics.
+struct Compiled {
+  script::ir::Module module;  // empty when the script was rejected
+  bool ok = false;
+  std::string errors;  // AnalysisReport::RenderErrors() when !ok
+  std::vector<std::string> warnings;
+};
+
+// The compile cache: one entry per distinct (script, samples_per_window)
+// input, the only AnalyzerOptions field a phone sets. Analysis is a pure
+// function of that input, so every task built from it shares one entry.
+// The map holds weak references: an entry lives as long as its last task.
+// Expired keys are pruned once the map has doubled since the last prune,
+// so a server that sends many distinct scripts cannot grow it past twice
+// the entries live at that prune (or 64), and an insert stays amortized
+// O(log n).
+struct CompileCache {
+  std::mutex mu;
+  std::map<std::pair<int, std::string>, std::weak_ptr<const Compiled>>
+      entries;
+  std::size_t prune_at = 64;
+  std::atomic<std::uint64_t> compiles{0};
+};
+
+CompileCache& Cache() {
+  static CompileCache cache;
+  return cache;
+}
+
+std::shared_ptr<const Compiled> Compile(const std::string& script,
+                                        int samples_per_window) {
+  CompileCache& cache = Cache();
+  std::pair<int, std::string> key{samples_per_window, script};
+  // Held across the compile, so concurrent tasks for one new script wait
+  // for it rather than compile it twice.
+  const std::lock_guard<std::mutex> lock(cache.mu);
+  if (auto it = cache.entries.find(key); it != cache.entries.end()) {
+    if (std::shared_ptr<const Compiled> hit = it->second.lock()) return hit;
+  }
+  // Compile = parse + static analysis, which lowers and optimizes the
+  // module every instant then executes.
+  ++cache.compiles;
+  auto compiled = std::make_shared<Compiled>();
+  script::analysis::AnalyzerOptions options;
+  options.default_samples_per_window = samples_per_window;
+  const script::analysis::AnalysisReport report =
+      script::analysis::AnalyzeSource(script, options, &compiled->module);
+  for (const script::analysis::Diagnostic& d : report.diagnostics) {
+    if (d.severity == script::analysis::Severity::kWarning)
+      compiled->warnings.push_back(Render(d));
+  }
+  compiled->ok = report.ok();
+  if (!compiled->ok) {
+    compiled->errors = report.RenderErrors();
+    compiled->module = {};
+  }
+  if (cache.entries.size() >= cache.prune_at) {
+    std::erase_if(cache.entries,
+                  [](const auto& entry) { return entry.second.expired(); });
+    cache.prune_at = std::max<std::size_t>(64, 2 * cache.entries.size());
+  }
+  cache.entries.insert_or_assign(std::move(key), compiled);
+  return compiled;
+}
+
+}  // namespace
+
+std::uint64_t TaskInstance::scripts_compiled() {
+  return Cache().compiles.load();
+}
+
 TaskInstance::TaskInstance(TaskId id, AppId app, const std::string& script,
                            std::vector<SimTime> schedule,
                            SimDuration sample_window, int samples_per_window)
@@ -35,28 +114,25 @@ TaskInstance::TaskInstance(TaskId id, AppId app, const std::string& script,
       sample_window_(sample_window),
       samples_per_window_(std::max(1, samples_per_window)) {
   std::sort(schedule_.begin(), schedule_.end());
-  // Compile = parse + static analysis, which lowers and optimizes the
-  // module every instant then executes. The phone re-checks what the
-  // server should already have verified — a defense against a stale or
-  // hostile server build — so a script that would crash or never terminate
-  // is refused before its first scheduled instant. Warnings only get
-  // logged.
-  script::analysis::AnalyzerOptions options;
-  options.default_samples_per_window = samples_per_window_;
-  script::analysis::AnalysisReport report =
-      script::analysis::AnalyzeSource(script, options, &module_);
-  for (const script::analysis::Diagnostic& d : report.diagnostics) {
-    if (d.severity == script::analysis::Severity::kWarning)
-      SOR_LOG(kWarn, "task", id_.str() << ": " << Render(d));
-  }
-  if (!report.ok()) {
+  // The phone re-checks what the server should already have verified — a
+  // defense against a stale or hostile server build — so a script that
+  // would crash or never terminate is refused before its first scheduled
+  // instant. Every task built from one script shares its compile (and its
+  // verdict); each still logs the warnings and records the errors itself.
+  std::shared_ptr<const Compiled> compiled =
+      Compile(script, samples_per_window_);
+  for (const std::string& w : compiled->warnings)
+    SOR_LOG(kWarn, "task", id_.str() << ": " << w);
+  if (!compiled->ok) {
     status_ = TaskStatus::kError;
-    last_error_ = report.RenderErrors();
+    last_error_ = compiled->errors;
     ++stats_.script_errors;
-    module_ = {};
-    return;
+  } else {
+    status_ = TaskStatus::kRunning;
   }
-  status_ = TaskStatus::kRunning;
+  const script::ir::Module* module = &compiled->module;
+  module_ = std::shared_ptr<const script::ir::Module>(std::move(compiled),
+                                                      module);
 }
 
 std::vector<ReadingTuple> TaskInstance::RunDue(
@@ -135,7 +211,7 @@ void TaskInstance::ExecuteOnce(SimTime t, sensors::SensorManager& sensors,
   const Execution execution{*this, t, sensors, prefs, out};
   current_ = &execution;
   Result<script::ExecutionResult> r =
-      script::ir::Execute(module_, ThreadHostTable(), {});
+      script::ir::Execute(*module_, ThreadHostTable(), {});
   current_ = nullptr;
   if (!r.ok()) {
     ++stats_.script_errors;

@@ -5,14 +5,16 @@
 // running, waiting for data, etc), call[s] proper API functions to acquire
 // data from sensors, and manages data collected from sensors."
 //
-// The task owns its SenseScript program, compiled once to optimized IR, and
-// its schedule Φ_k. When the simulation clock reaches a scheduled instant,
+// The task holds its SenseScript program as optimized IR, compiled once per
+// process for each distinct script and shared read-only by every task built
+// from it, and owns its schedule Φ_k. When the simulation clock reaches a scheduled instant,
 // the task executes it with the data-acquisition host functions
 // (get_temperature, get_location, ...) bound to the phone's SensorManager;
 // every successful acquisition is recorded as a ReadingTuple (t, Δt, d).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,8 +58,10 @@ struct TaskRunStats {
 class TaskInstance {
  public:
   // `script` is compiled immediately (the static analysis parses, lowers
-  // and optimizes it once); a parse failure or any analyzer error puts the
-  // task in kError and last_error() carries the rendered diagnostics.
+  // and optimizes it), or its module is shared with the live tasks built
+  // from the same script and samples_per_window; a parse failure or any
+  // analyzer error puts the task in kError and last_error() carries the
+  // rendered diagnostics.
   TaskInstance(TaskId id, AppId app, const std::string& script,
                std::vector<SimTime> schedule, SimDuration sample_window,
                int samples_per_window);
@@ -105,6 +109,11 @@ class TaskInstance {
   // thread executes, so this stays at most 1.
   [[nodiscard]] static std::uint64_t host_tables_built_on_this_thread();
 
+  // How many times this process has compiled a script for a task. Tasks
+  // built while another task of the same (script, samples_per_window) is
+  // alive share its module, so a fleet running one app compiles it once.
+  [[nodiscard]] static std::uint64_t scripts_compiled();
+
  private:
   // What the thread's host table is bound to while one scheduled instant
   // executes.
@@ -132,7 +141,9 @@ class TaskInstance {
 
   TaskId id_;
   AppId app_;
-  script::ir::Module module_;  // optimized; every instant executes it
+  // Optimized; every instant executes it. Shared with the other tasks of
+  // the same script, so it is never written after the compile.
+  std::shared_ptr<const script::ir::Module> module_;
   std::vector<SimTime> schedule_;  // sorted
   std::size_t next_instant_ = 0;
   SimTime ran_through_;

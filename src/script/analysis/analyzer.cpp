@@ -617,6 +617,41 @@ Interval IHull(const Interval& a, const Interval& b) {
   return Interval{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
 }
 
+// Trips of a counted loop: a variable starting in `from` moves by `step`
+// each trip, up (`up`) or down toward a limit in `to`, and the loop runs
+// while it has not passed the limit (`inclusive`: equality still runs).
+// Integer operands add exactly: ceil(span/stride) for a strict comparison,
+// floor(span/stride) + 1 otherwise. Other operands may round each sum by
+// half an ulp of the largest magnitude the variable reaches, so the bound
+// divides by the stride less that, plus one trip for the rounding of the
+// bound's own arithmetic. A step under one ulp may leave the variable
+// where it is: no bound.
+std::optional<double> CountedTrips(const Interval& from, const Interval& to,
+                                   const Interval& step, bool up,
+                                   bool inclusive) {
+  if (up ? step.lo <= 0 : step.hi >= 0) return std::nullopt;
+  const double span = up ? to.hi - from.lo : from.hi - to.lo;
+  const double stride = up ? step.lo : -step.hi;
+  const auto trips = [&](double by) {
+    return std::max(0.0, inclusive ? std::floor(span / by) + 1
+                                   : std::ceil(span / by));
+  };
+  bool integral = true;
+  double magnitude = 0;
+  for (double v : {from.lo, from.hi, to.lo, to.hi}) {
+    integral = integral && std::floor(v) == v;
+    magnitude = std::max(magnitude, std::abs(v));
+  }
+  integral = integral && std::floor(step.lo) == step.lo &&
+             std::floor(step.hi) == step.hi;
+  // The last trip carries the variable at most one step past the limit.
+  magnitude += std::max(std::abs(step.lo), std::abs(step.hi));
+  if (integral && magnitude <= 0x1p53) return trips(stride);
+  const double ulp = std::nextafter(magnitude, kInf) - magnitude;
+  if (stride < ulp) return std::nullopt;
+  return trips(stride - ulp / 2) + 1;
+}
+
 // Worst-case resources for one execution of a fragment.
 struct Cost {
   double steps = 0;
@@ -1168,11 +1203,8 @@ class CostAnalyzer {
             start.val.num->finite() && stop.val.num->finite()) {
           const Interval& s0 = *start.val.num;
           const Interval& s1 = *stop.val.num;
-          if (step->lo > 0) {
-            bound = std::max(0.0, std::floor((s1.hi - s0.lo) / step->lo) + 1);
-          } else if (step->hi < 0) {
-            bound = std::max(0.0, std::floor((s0.hi - s1.lo) / -step->hi) + 1);
-          }
+          bound = CountedTrips(s0, s1, *step, /*up=*/step->lo > 0,
+                               /*inclusive=*/true);
           var_range = IHull(s0, s1);
         }
         const std::vector<CEnv> entry = env_;
@@ -1373,23 +1405,8 @@ class CostAnalyzer {
     env_ = saved;
 
     if (!limit || !step) return std::nullopt;
-    // Trips until the variable crosses the limit: ceil(span/step) for a
-    // strict comparison, floor(span/step) + 1 when equality still runs.
     const bool strict = cond.bin_op == BinOp::kLt || cond.bin_op == BinOp::kGt;
-    double span = 0;
-    double stride = 0;
-    if (var_must_grow) {
-      if (step->lo <= 0) return std::nullopt;  // may never reach the limit
-      span = limit->hi - entry_range.lo;
-      stride = step->lo;
-    } else {
-      if (step->hi >= 0) return std::nullopt;
-      span = entry_range.hi - limit->lo;
-      stride = -step->hi;
-    }
-    const double trips =
-        strict ? std::ceil(span / stride) : std::floor(span / stride) + 1;
-    return std::max(0.0, trips);
+    return CountedTrips(entry_range, *limit, *step, var_must_grow, !strict);
   }
 
   const Program& program_;

@@ -1,6 +1,7 @@
 // SenseScript execution interface: the host whitelist, the budgets and
 // the result every execution reports. The executor is ir::Execute
-// (script/ir/exec.hpp), run over a module lowered once per task.
+// (script/ir/exec.hpp), run over a module compiled once per distinct
+// script and shared read-only by every task that runs it.
 //
 // §II-A: "The script interpreter tells the task instance which Java
 // function to call to obtain data from sensors ... security can be enforced

@@ -323,6 +323,7 @@ class Executor {
       if (!r.ok()) {
         Error err = r.error();
         err.message = "in " + name + "(): " + err.message;
+        err.line = inst.line;
         return err;
       }
       return r;

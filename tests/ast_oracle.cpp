@@ -414,6 +414,7 @@ class AstWalker {
       if (!r.ok()) {
         Error err = r.error();
         err.message = "in " + e.text + "(): " + err.message;
+        err.line = e.line;
         return err;
       }
       return r;

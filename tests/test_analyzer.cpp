@@ -846,6 +846,36 @@ TEST(AnalyzerLoopExit, ZeroTripLoopOverBudgetIsRejected) {
   EXPECT_TRUE(Analyzed(kZeroTripFor, options).Has("SA403"));
 }
 
+// --- counted loops over non-integer operands ---------------------------------
+
+// Ten additions of 0.1 reach 0.9999999999999999: the loop runs an eleventh
+// trip that exact arithmetic would not.
+TEST(AnalyzerLoopExit, NonIntegerWhileStepRoundsShortOfTheLimit) {
+  ExpectBoundsCoverARun(
+      "local x = 0\n"
+      "while x < 1 do\n"
+      "  x = x + 0.1\n"
+      "  local t = get_temperature_readings(1)\n"
+      "end\n");
+}
+
+TEST(AnalyzerLoopExit, NonIntegerForStepRoundsShortOfTheLimit) {
+  ExpectBoundsCoverARun(
+      "for i = 0, 0.7, 0.1 do local t = get_temperature_readings(1) end\n");
+}
+
+TEST(AnalyzerLoopExit, StepBelowOneUlpHasNoBound) {
+  // 1e16 + 1 rounds back to 1e16: the variable never moves.
+  EXPECT_TRUE(Analyzed("local x = 1e16\n"
+                       "while x < 1e16 + 10 do x = x + 1 end\n")
+                  .Has("SA401"));
+  EXPECT_TRUE(Analyzed("for i = 1e16, 1e16 + 10 do end\n").Has("SA401"));
+  // Below 2^53 the same integer loop adds exactly and keeps its bound.
+  EXPECT_FALSE(Analyzed("local x = 1e15\n"
+                        "while x < 1e15 + 10 do x = x + 1 end\n")
+                   .Has("SA401"));
+}
+
 TEST(Analyzer, AndOrFoldsTheOperandItReturns) {
   // `"s7" and 5` is 5, so the branch never runs and acquires nothing.
   const AnalysisReport r = Analyzed(

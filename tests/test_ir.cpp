@@ -424,6 +424,24 @@ TEST(IrParity, ListCycleRefusedAtInsertion) {
   ExpectParity("local l = {}\nlocal box = {l}\nl[1] = box\nprint(#l)\n");
 }
 
+TEST(IrParity, FailingHostCallKeepsItsLine) {
+  // A host function's error gains the "in name(): " prefix and the line of
+  // the call, as every other runtime error carries its line.
+  const HostRegistry host = MakeTestHost();
+  for (const char* source : {"local l = {}\n\npush(l, l)\n",
+                             "local a = 1\n\nlocal b = host_fail()\n"}) {
+    const Engines e = Compile(Parse(source).value());
+    const Result<ExecutionResult> runs[] = {
+        oracle::Execute(e.program, host, {}), ir::Execute(e.raw, host, {}),
+        ir::Execute(e.opt, host, {})};
+    for (const Result<ExecutionResult>& r : runs) {
+      ASSERT_FALSE(r.ok()) << source;
+      EXPECT_EQ(r.error().message.rfind("in ", 0), 0u) << r.error().message;
+      EXPECT_EQ(r.error().line, 3) << source;
+    }
+  }
+}
+
 TEST(IrParity, EvaluationOrderValueBeforeListBeforeIndex) {
   // list[i] = v evaluates v first, then the list, then the index — observable
   // through print side effects.
@@ -693,6 +711,24 @@ TEST(IrSteps, ExampleScriptsRunWithinTheirBounds) {
         ir::Execute(module, MakeExampleHost(&acquired), opts);
     EXPECT_TRUE(run.ok()) << name << ": " << run.error().str();
     EXPECT_LE(acquired, report.manifest.worst_case_acquisitions) << name;
+  }
+}
+
+// Accumulating a non-integer step rounds: ten additions of 0.1 reach
+// 0.9999999999999999, so each loop runs a trip more than exact arithmetic
+// gives, and the bound must cover it.
+TEST(IrSteps, NonIntegerLoopsRunWithinTheirBounds) {
+  for (const char* source : {"local x = 0 while x < 1 do x = x + 0.1 end",
+                             "for i = 0, 0.7, 0.1 do end"}) {
+    ir::Module module;
+    const analysis::AnalysisReport report =
+        analysis::AnalyzeSource(source, {}, &module);
+    ASSERT_TRUE(report.manifest.cost_bounded) << source;
+    InterpreterOptions opts;
+    opts.max_steps = BudgetOfBound(report);
+    const Result<ExecutionResult> run =
+        ir::Execute(module, MakeTestHost(), opts);
+    EXPECT_TRUE(run.ok()) << source << ": " << run.error().str();
   }
 }
 

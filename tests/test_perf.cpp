@@ -508,6 +508,47 @@ TEST(Perf, ScriptExecutionsBuildTheHostTableOncePerThread) {
   EXPECT_LE(builds, 1u);
 }
 
+TEST(Perf, FleetJoinCompilesEachDistinctScriptOnce) {
+  // Every phone that joins an app is sent the same script. Tasks built from
+  // one script share its compile (parse, analysis, lowering, optimization)
+  // while any of them is alive, so a 400-phone join compiles it once; a
+  // compile per task was most of a join's phone-side work.
+  constexpr int kFleet = 400;
+  struct ConstantEnvironment final : sensors::SensorEnvironment {
+    double Sample(SensorKind, SimTime t) override { return t.seconds(); }
+    GeoPoint Position(SimTime) override { return {43.0, -76.0, 99.0}; }
+  } env;
+  SimClock clock;
+  net::LoopbackNetwork net;
+  net.set_clock(&clock);
+  SensingServer server{ServerConfig{}, net, clock};
+  ApplicationSpec spec = PerfAppSpec(/*trail=*/false);
+  spec.script = "-- fleet join\nlocal xs = get_noise_readings(3)";
+  Result<BarcodePayload> barcode = server.DeployApplication(spec);
+  ASSERT_TRUE(barcode.ok()) << barcode.error().str();
+  const BitMatrix matrix = RenderBarcodeMatrix(barcode.value());
+
+  const std::uint64_t before = phone::TaskInstance::scripts_compiled();
+  std::vector<std::unique_ptr<phone::MobileFrontend>> phones;
+  for (int i = 0; i < kFleet; ++i) {
+    phone::FrontendConfig cfg;
+    cfg.phone_id = PhoneId{static_cast<std::uint64_t>(i + 1)};
+    cfg.user_name = "fleet-" + std::to_string(i);
+    cfg.token = Token{"tok-f" + std::to_string(i)};
+    Result<UserId> user =
+        server.users().RegisterUser(cfg.user_name, cfg.token);
+    ASSERT_TRUE(user.ok());
+    cfg.user_id = user.value();
+    phones.push_back(
+        std::make_unique<phone::MobileFrontend>(cfg, net, env, clock));
+    ASSERT_TRUE(phones.back()->ScanBarcodeMatrix(matrix, 10).ok());
+  }
+  std::size_t tasks = 0;
+  for (const auto& p : phones) tasks += p->num_tasks();
+  EXPECT_EQ(tasks, static_cast<std::size_t>(kFleet));
+  EXPECT_EQ(phone::TaskInstance::scripts_compiled() - before, 1u);
+}
+
 TEST(Perf, SensorBuffersStayBoundedOverAFullTrailCampaign) {
   // The §V-A trail field test at one phone per trail over its full three
   // hours (1080 ticks). Each tick that sensed trims every provider's shared

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "codec/barcode.hpp"
 #include "phone/frontend.hpp"
 #include "phone/task_instance.hpp"
+#include "script/analysis/analyzer.hpp"
+#include "script/ir/exec.hpp"
 #include "sensors/providers.hpp"
 
 namespace sor::phone {
@@ -207,6 +212,180 @@ TEST(TaskInstance, CoarseLocationSnapsFixes) {
 }
 
 // --- preferences -----------------------------------------------------------
+
+// --- one compile per distinct script -----------------------------------------
+
+// Every test below uses scripts of its own (a leading comment tells them
+// apart), so no test can meet another's compile in the shared cache.
+
+TEST(TaskCompileCache, TasksOfOneScriptCompileOnce) {
+  const std::string script =
+      "-- compile once\nlocal xs = get_light_readings(3)";
+  const std::uint64_t before = TaskInstance::scripts_compiled();
+  std::vector<TaskInstance> tasks;
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    tasks.emplace_back(TaskId{i}, AppId{1}, script,
+                       std::vector<SimTime>{SimTime{1'000}},
+                       SimDuration{100}, 3);
+  }
+  EXPECT_EQ(TaskInstance::scripts_compiled() - before, 1u);
+  for (const TaskInstance& task : tasks)
+    EXPECT_EQ(task.status(), TaskStatus::kRunning);
+
+  // Another script, or the same script at another samples_per_window (an
+  // analyzer input), is compiled on its own.
+  tasks.emplace_back(TaskId{9}, AppId{1}, script + "\n",
+                     std::vector<SimTime>{SimTime{1'000}}, SimDuration{100}, 3);
+  EXPECT_EQ(TaskInstance::scripts_compiled() - before, 2u);
+  tasks.emplace_back(TaskId{10}, AppId{1}, script,
+                     std::vector<SimTime>{SimTime{1'000}}, SimDuration{100}, 4);
+  EXPECT_EQ(TaskInstance::scripts_compiled() - before, 3u);
+  tasks.emplace_back(TaskId{11}, AppId{1}, script,
+                     std::vector<SimTime>{SimTime{1'000}}, SimDuration{100}, 4);
+  EXPECT_EQ(TaskInstance::scripts_compiled() - before, 3u);
+}
+
+TEST(TaskCompileCache, RejectedScriptErrorsEveryTaskAndEachLogsItsWarnings) {
+  // SA502 (a dead store) is a warning; SA401 (no loop bound) rejects it.
+  const std::string script =
+      "-- rejected\nlocal y = 5\nwhile true do\n  print(\"spin\")\nend";
+  const std::uint64_t before = TaskInstance::scripts_compiled();
+  std::vector<TaskInstance> tasks;
+  testing::internal::CaptureStderr();
+  for (std::uint64_t i = 101; i <= 103; ++i) {
+    tasks.emplace_back(TaskId{i}, AppId{1}, script,
+                       std::vector<SimTime>{SimTime{1'000}},
+                       SimDuration{100}, 1);
+  }
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(TaskInstance::scripts_compiled() - before, 1u);
+  for (const TaskInstance& task : tasks) {
+    EXPECT_EQ(task.status(), TaskStatus::kError);
+    EXPECT_EQ(task.last_error(), tasks.front().last_error());
+    EXPECT_NE(task.last_error().find("SA401"), std::string::npos);
+    EXPECT_EQ(task.stats().script_errors, 1u);
+    EXPECT_NE(log.find(task.id().str() + ": warning SA502"),
+              std::string::npos)
+        << log;
+  }
+}
+
+TEST(TaskCompileCache, EntryExpiresWithItsLastTask) {
+  const std::string script = "-- expires\nlocal xs = get_light_readings(2)";
+  const std::uint64_t before = TaskInstance::scripts_compiled();
+  {
+    TaskInstance first(TaskId{1}, AppId{1}, script, {SimTime{1'000}},
+                       SimDuration{100}, 2);
+    TaskInstance second(TaskId{2}, AppId{1}, script, {SimTime{1'000}},
+                        SimDuration{100}, 2);
+    EXPECT_EQ(TaskInstance::scripts_compiled() - before, 1u);
+  }
+  TaskInstance third(TaskId{3}, AppId{1}, script, {SimTime{1'000}},
+                     SimDuration{100}, 2);
+  EXPECT_EQ(TaskInstance::scripts_compiled() - before, 2u);
+  EXPECT_EQ(third.status(), TaskStatus::kRunning);
+}
+
+// A loop over the readings and a branch on their sum: the tuples show
+// what the module computed.
+constexpr const char* kSharedScript =
+    "-- shared\n"
+    "local xs = get_light_readings(6)\n"
+    "local s = 0\n"
+    "for i = 1, #xs do s = s + xs[i] end\n"
+    "print(s)\n"
+    "if s > 0 then local fix = get_location(2) end\n";
+
+// Runs a fresh task of kSharedScript over its whole schedule on its own
+// sensors: what one phone would upload, and its counters.
+struct SharedRun {
+  std::vector<ReadingTuple> tuples;
+  std::uint64_t executions = 0;
+  std::uint64_t acquisitions = 0;
+  TaskStatus status = TaskStatus::kError;
+
+  friend bool operator==(const SharedRun&, const SharedRun&) = default;
+};
+
+SharedRun RunSharedTask(std::uint64_t id) {
+  FakeEnvironment env;
+  sensors::BluetoothLink link;
+  link.Pair();
+  sensors::SensorManager sensors = MakeSensors(env, link);
+  LocalPreferenceManager prefs;
+  std::vector<SimTime> schedule;
+  for (int i = 1; i <= 10; ++i) schedule.push_back(SimTime{i * 1'000});
+  TaskInstance task(TaskId{id}, AppId{1}, kSharedScript, std::move(schedule),
+                    SimDuration{500}, 3);
+  SharedRun run;
+  run.tuples = task.RunDue(SimTime{10'000}, sensors, prefs);
+  run.executions = task.stats().executions;
+  run.acquisitions = task.stats().acquisitions;
+  run.status = task.status();
+  return run;
+}
+
+TEST(TaskCompileCache, ConcurrentTasksSharingAModuleMatchASerialRun) {
+  constexpr std::uint64_t kTasksPerThread = 8;
+  const std::uint64_t before = TaskInstance::scripts_compiled();
+  // Alive throughout, so every task below shares its module.
+  const TaskInstance keeper(TaskId{999}, AppId{1}, kSharedScript,
+                            {SimTime{1'000}}, SimDuration{500}, 3);
+  std::vector<SharedRun> serial;
+  for (std::uint64_t id = 0; id < 2 * kTasksPerThread; ++id)
+    serial.push_back(RunSharedTask(id + 1));
+  ASSERT_EQ(serial.front().status, TaskStatus::kFinished);
+  ASSERT_EQ(serial.front().tuples.size(), 20u);
+
+  std::vector<SharedRun> threaded(2 * kTasksPerThread);
+  auto worker = [&](std::uint64_t first) {
+    for (std::uint64_t id = first; id < first + kTasksPerThread; ++id)
+      threaded[id] = RunSharedTask(id + 1);
+  };
+  std::thread a(worker, 0);
+  std::thread b(worker, kTasksPerThread);
+  a.join();
+  b.join();
+  EXPECT_EQ(threaded, serial);
+  EXPECT_EQ(TaskInstance::scripts_compiled() - before, 1u);
+
+  // The executor only reads the module: print output and steps of
+  // concurrent runs over one module match a serial run too.
+  script::ir::Module module;
+  ASSERT_TRUE(script::analysis::AnalyzeSource(kSharedScript, {}, &module).ok());
+  auto execute = [&module](std::string& output, std::uint64_t& steps) {
+    script::HostRegistry host;
+    script::InstallStdlib(host);
+    for (const char* fn : {"get_light_readings", "get_location"}) {
+      host.Register(fn, [](std::span<const script::Value> args)
+                            -> Result<script::Value> {
+        script::List values;
+        for (int i = 0; i < static_cast<int>(args[0].as_number()); ++i)
+          values.emplace_back(1.5 * i);
+        return script::Value::MakeList(std::move(values));
+      });
+    }
+    const Result<script::ExecutionResult> r =
+        script::ir::Execute(module, host, {});
+    ASSERT_TRUE(r.ok()) << r.error().str();
+    output = r.value().output;
+    steps = r.value().steps;
+  };
+  std::string serial_output;
+  std::uint64_t serial_steps = 0;
+  execute(serial_output, serial_steps);
+  EXPECT_EQ(serial_output, "22.5\n");
+  std::string outputs[2];
+  std::uint64_t steps[2] = {0, 0};
+  std::thread c(execute, std::ref(outputs[0]), std::ref(steps[0]));
+  std::thread d(execute, std::ref(outputs[1]), std::ref(steps[1]));
+  c.join();
+  d.join();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(outputs[i], serial_output);
+    EXPECT_EQ(steps[i], serial_steps);
+  }
+}
 
 TEST(Preferences, DefaultsAllowEverything) {
   LocalPreferenceManager prefs;

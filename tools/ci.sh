@@ -309,8 +309,10 @@ if [[ "${FULL_TSAN}" == "1" ]]; then
   ctest --preset tsan -j "$(nproc)"
 else
   # Default stage: only the tests that exercise threads > 1 — the
-  # determinism contract and the chaos battery on the parallel runtime.
+  # determinism contract and the chaos battery on the parallel runtime,
+  # and tasks on two threads executing the one module they share.
   cmake --build --preset tsan -j "$(nproc)" \
-    --target test_determinism test_chaos
-  ctest --preset tsan -j "$(nproc)" -R 'Determinism\.|Chaos\.'
+    --target test_determinism test_chaos test_phone
+  ctest --preset tsan -j "$(nproc)" \
+    -R 'Determinism\.|Chaos\.|TaskCompileCache\.ConcurrentTasks'
 fi

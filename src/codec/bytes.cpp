@@ -99,12 +99,13 @@ std::uint64_t ByteReader::varint() {
   std::uint64_t v = 0;
   int shift = 0;
   while (true) {
-    if (shift >= 64) {  // overlong encoding
+    const std::uint8_t b = u8();
+    // Shortest form only, so a value re-encodes to its bytes: no zero
+    // padding, and a tenth byte of just the 64th bit (which caps the length).
+    if (!ok_ || (shift > 0 && b == 0) || (shift == 63 && b > 1)) {
       fail();
       return 0;
     }
-    const std::uint8_t b = u8();
-    if (!ok_) return 0;
     v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
     if ((b & 0x80) == 0) break;
     shift += 7;

@@ -12,6 +12,8 @@
 //  * strings/blobs:     varint length prefix + raw bytes
 // Decoding is non-throwing: ByteReader sticks at the first malformed field
 // and reports failure, so a corrupted message can never crash the server.
+// It accepts only what ByteWriter writes (shortest varints, booleans 0 or
+// 1), so whatever decodes re-encodes to the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +66,11 @@ class ByteReader {
   // Same as blob(), but a view into the reader's input instead of a copy;
   // valid as long as that input is.
   [[nodiscard]] std::span<const std::uint8_t> blob_view();
-  [[nodiscard]] bool boolean() { return u8() != 0; }
+  [[nodiscard]] bool boolean() {  // only 0 or 1, as ByteWriter writes
+    const std::uint8_t b = u8();
+    if (b > 1) fail();
+    return b == 1;
+  }
 
   // Mark the stream malformed (e.g. a field decoded to an out-of-range
   // enum value); all subsequent reads return zero and finish() fails.

@@ -1,6 +1,7 @@
 #include "codec/messages.hpp"
 
 #include <cassert>
+#include <utility>
 
 #include "codec/crc32.hpp"
 
@@ -33,6 +34,14 @@ GeoPoint DecodeGeo(ByteReader& r) {
 
 void EncodeTime(SimTime t, ByteWriter& w) { w.svarint(t.ms); }
 SimTime DecodeTime(ByteReader& r) { return SimTime{r.svarint()}; }
+
+// A field narrower than its wire integer: out of its range, the decode
+// fails rather than narrow to a value that re-encodes differently.
+template <typename T, typename Wire>
+T Narrow(Wire v, ByteReader& r) {
+  if (!std::in_range<T>(v)) r.invalidate();
+  return static_cast<T>(v);
+}
 
 }  // namespace
 
@@ -202,9 +211,9 @@ Result<Message> DecodeBody(MessageType type,
       m.token = Token{r.str()};
       m.app = AppId{r.varint()};
       m.location = DecodeGeo(r);
-      m.budget = static_cast<int>(r.svarint());
+      m.budget = Narrow<int>(r.svarint(), r);
       m.scan_time = DecodeTime(r);
-      m.incarnation = static_cast<std::uint32_t>(r.varint());
+      m.incarnation = Narrow<std::uint32_t>(r.varint(), r);
       out = m;
       break;
     }
@@ -225,11 +234,12 @@ Result<Message> DecodeBody(MessageType type,
       if (n > r.remaining() + 1) return Error{Errc::kDecodeError, "bad count"};
       std::int64_t prev = 0;
       for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        prev += r.svarint();
+        // An instant past the int64 range has no delta to re-encode it.
+        if (__builtin_add_overflow(prev, r.svarint(), &prev)) r.invalidate();
         m.instants.push_back(SimTime{prev});
       }
       m.sample_window = SimDuration{r.svarint()};
-      m.samples_per_window = static_cast<int>(r.svarint());
+      m.samples_per_window = Narrow<int>(r.svarint(), r);
       const std::uint64_t n_sensors = r.varint();
       if (n_sensors > r.remaining() + 1)
         return Error{Errc::kDecodeError, "bad count"};

@@ -6,30 +6,13 @@
 #include <memory>
 #include <mutex>
 #include <utility>
+#include <variant>
 
 #include "common/log.hpp"
 #include "script/analysis/analyzer.hpp"
-#include "script/analysis/host_api.hpp"
 #include "script/ir/exec.hpp"
 
 namespace sor::phone {
-
-// The acquisition vocabulary lives in the analyzer's host-API table
-// (script/analysis/host_api.cpp) — one shared row per sensor, so the
-// server-side checker and the phone-side registrations can never drift.
-std::optional<SensorKind> AcquisitionFunctionSensor(
-    const std::string& fn_name) {
-  return script::analysis::AcquisitionSensor(fn_name);
-}
-
-std::vector<std::string> AcquisitionFunctionNames() {
-  std::vector<std::string> names;
-  for (const script::analysis::HostSignature& sig :
-       script::analysis::HostSignatures()) {
-    if (sig.sensor.has_value()) names.emplace_back(sig.name);
-  }
-  return names;
-}
 
 namespace {
 
@@ -169,37 +152,33 @@ const script::HostRegistry& TaskInstance::ThreadHostTable() {
     ++host_tables_built;
     script::HostRegistry host;
     script::InstallStdlib(host);
-
-    // Introspection: scripts can adapt to where they are in the task
-    // (e.g. take a final long GPS trace on the last scheduled instant).
-    host.Register("get_time_s",
-                  [](std::span<const script::Value>) -> Result<script::Value> {
-                    return script::Value(current_->t.seconds());
-                  });
-    host.Register("get_sample_window_s",
-                  [](std::span<const script::Value>) -> Result<script::Value> {
-                    return script::Value(
-                        current_->task.sample_window_.seconds());
-                  });
-    host.Register("get_remaining_instants",
-                  [](std::span<const script::Value>) -> Result<script::Value> {
-                    const TaskInstance& task = current_->task;
-                    return script::Value(static_cast<double>(
-                        task.schedule_.size() - task.next_instant_ - 1));
-                  });
-    for (const script::analysis::HostSignature& sig :
-         script::analysis::HostSignatures()) {
-      if (!sig.sensor.has_value()) continue;
-      const SensorKind kind = *sig.sensor;
-      host.Register(std::string(sig.name),
-                    [kind](std::span<const script::Value> args)
-                        -> Result<script::Value> {
-                      return current_->task.Acquire(*current_, kind, args);
-                    });
+    for (const script::HostSignature& sig : script::HostSignatures()) {
+      const std::string name(sig.name);
+      if (const auto* fact = std::get_if<script::TaskFact>(&sig.impl)) {
+        host.Register(name, [fact](std::span<const script::Value>) {
+          return script::Value(current_->task.Fact(*current_, *fact));
+        });
+      } else if (std::holds_alternative<script::Acquisition>(sig.impl)) {
+        host.Register(name, [&sig](std::span<const script::Value> args) {
+          return current_->task.Acquire(*current_, *sig.sensor, args);
+        });
+      }
     }
     return host;
   }();
   return table;
+}
+
+double TaskInstance::Fact(const Execution& e, script::TaskFact fact) const {
+  // Introspection: scripts can adapt to where they are in the task
+  // (e.g. take a final long GPS trace on the last scheduled instant).
+  switch (fact) {
+    case script::TaskFact::kTimeS: return e.t.seconds();
+    case script::TaskFact::kSampleWindowS: return sample_window_.seconds();
+    case script::TaskFact::kRemainingInstants:
+      return static_cast<double>(schedule_.size() - next_instant_ - 1);
+  }
+  return 0.0;
 }
 
 void TaskInstance::ExecuteOnce(SimTime t, sensors::SensorManager& sensors,

@@ -24,6 +24,7 @@
 #include "common/ids.hpp"
 #include "common/result.hpp"
 #include "phone/preferences.hpp"
+#include "script/host_api.hpp"
 #include "script/interpreter.hpp"
 #include "script/ir/ir.hpp"
 #include "sensors/manager.hpp"
@@ -109,6 +110,12 @@ class TaskInstance {
   // thread executes, so this stays at most 1.
   [[nodiscard]] static std::uint64_t host_tables_built_on_this_thread();
 
+  // The host-function table of the calling thread: every row of the host
+  // API (script/host_api.hpp) but print, which the executor runs itself.
+  // Each entry reads the execution running on this thread, so it may only
+  // be called from a script that a TaskInstance executes.
+  [[nodiscard]] static const script::HostRegistry& ThreadHostTable();
+
   // How many times this process has compiled a script for a task. Tasks
   // built while another task of the same (script, samples_per_window) is
   // alive share its module, so a fleet running one app compiles it once.
@@ -129,10 +136,8 @@ class TaskInstance {
   void ExecuteOnce(SimTime t, sensors::SensorManager& sensors,
                    const LocalPreferenceManager& prefs,
                    std::vector<ReadingTuple>& out);
-  // The host-function table of the calling thread: the stdlib, the
-  // introspection calls and one acquisition function per sensor, all
-  // reading the Execution that `current_` points at.
-  [[nodiscard]] static const script::HostRegistry& ThreadHostTable();
+  // A task fact for the script of `e`.
+  [[nodiscard]] double Fact(const Execution& e, script::TaskFact fact) const;
   // One acquisition call from the script of `e`.
   [[nodiscard]] script::Value Acquire(const Execution& e, SensorKind kind,
                                       std::span<const script::Value> args);
@@ -153,13 +158,5 @@ class TaskInstance {
   TaskRunStats stats_;
   std::string last_error_;
 };
-
-// Maps a data-acquisition function name (as callable from SenseScript, the
-// paper's get_light_readings()/get_location() convention) to the sensor it
-// reads. Shared with the server side, which validates scripts against the
-// supported-sensor list before distributing them.
-[[nodiscard]] std::optional<SensorKind> AcquisitionFunctionSensor(
-    const std::string& fn_name);
-[[nodiscard]] std::vector<std::string> AcquisitionFunctionNames();
 
 }  // namespace sor::phone

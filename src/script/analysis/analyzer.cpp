@@ -7,7 +7,7 @@
 #include <set>
 #include <utility>
 
-#include "script/analysis/host_api.hpp"
+#include "script/host_api.hpp"
 #include "script/analysis/passes.hpp"
 #include "script/ir/lower.hpp"
 #include "script/parser.hpp"

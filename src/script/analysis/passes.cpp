@@ -7,7 +7,7 @@
 #include <optional>
 
 #include "script/analysis/dataflow.hpp"
-#include "script/analysis/host_api.hpp"
+#include "script/host_api.hpp"
 #include "script/ast.hpp"
 
 namespace sor::script::analysis {
@@ -822,7 +822,7 @@ struct TaintDomain {
           for (std::uint32_t k = 0; k < inst.b; ++k)
             args |= s.regs[inst.a + k];
           const std::string& name = m.names[inst.imm];
-          if (name == "print") {
+          if (name == PrintSignature().name) {
             ctx.Accum(ctx.sites[{0, inst.line}], args);
             if (inst.dst != kNoReg) s.regs[inst.dst] = ctrl;
             break;

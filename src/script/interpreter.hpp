@@ -6,9 +6,10 @@
 // §II-A: "The script interpreter tells the task instance which Java
 // function to call to obtain data from sensors ... security can be enforced
 // here by only allowing a white list of unharmful functions to be called."
-// Here the host functions are C++ callbacks registered in a HostRegistry —
-// the registry IS the whitelist: a script calling anything unregistered
-// fails with kPermissionDenied (exercised by the failure-injection tests).
+// Here the whitelist is declared once, in the host-API table
+// (script/host_api.hpp), and bound at run time as C++ callbacks in a
+// HostRegistry: a script calling anything unregistered fails with
+// kPermissionDenied (exercised by the failure-injection tests).
 //
 // Scripts also run under an instruction budget so a buggy or malicious
 // task description distributed by a server cannot spin a phone forever.
@@ -66,10 +67,9 @@ struct ExecutionResult {
   std::string output;        // everything print() emitted
 };
 
-// Installs the pure builtin library (print, len, push, abs, floor, min,
-// max, tostring, tonumber, mean, stddev) into a registry. `print` appends
-// to ExecutionResult::output via an executor-internal hook, so it is
-// handled by the executor itself; this installs everything else.
+// Installs every host-API row with a pure stdlib body (script/host_api.hpp)
+// into a registry. `print` appends to ExecutionResult::output, so the
+// executor runs it itself and it is not installed here.
 void InstallStdlib(HostRegistry& registry);
 
 }  // namespace sor::script

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "script/ast.hpp"
+#include "script/host_api.hpp"
 
 namespace sor::script::ir {
 namespace {
@@ -27,7 +28,8 @@ class Executor {
     bindings_.assign(m_.names.size(), -1);
     host_fns_.resize(m_.names.size(), nullptr);
     for (std::size_t i = 0; i < m_.names.size(); ++i) {
-      if (m_.names[i] == "print") print_name_ = static_cast<std::uint32_t>(i);
+      if (m_.names[i] == PrintSignature().name)
+        print_name_ = static_cast<std::uint32_t>(i);
       host_fns_[i] = host_.Find(m_.names[i]);
     }
   }
@@ -60,7 +62,8 @@ class Executor {
         if (steps_ > opts_.max_steps) {
           return Error{Errc::kScriptError,
                        "instruction budget exhausted at line " +
-                           std::to_string(inst.line)};
+                           std::to_string(inst.line),
+                       inst.line};
         }
         switch (inst.op) {
           case Op::kConst:
@@ -194,7 +197,8 @@ class Executor {
             if (host_fns_[inst.a] != nullptr) {
               return Error{Errc::kScriptError,
                            "line " + std::to_string(inst.line) +
-                               ": cannot shadow host function '" + name + "'"};
+                               ": cannot shadow host function '" + name + "'",
+                           inst.line};
             }
             bindings_[inst.a] = static_cast<std::int32_t>(inst.b);
             break;

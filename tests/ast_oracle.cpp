@@ -40,9 +40,10 @@ class AstWalker {
  private:
   Status Tick(int line) {
     if (++steps_ > opts_.max_steps) {
-      return Status(Errc::kScriptError,
-                    "instruction budget exhausted at line " +
-                        std::to_string(line));
+      return Status(Error{Errc::kScriptError,
+                          "instruction budget exhausted at line " +
+                              std::to_string(line),
+                          line});
     }
     return Status::Ok();
   }
@@ -189,9 +190,11 @@ class AstWalker {
       }
       case Stmt::Kind::kFunction: {
         if (host_.Find(st.name) != nullptr) {
-          return Status(Errc::kScriptError,
-                        "line " + std::to_string(st.line) +
-                            ": cannot shadow host function '" + st.name + "'");
+          return Status(Error{Errc::kScriptError,
+                              "line " + std::to_string(st.line) +
+                                  ": cannot shadow host function '" +
+                                  st.name + "'",
+                              st.line});
         }
         functions_[st.name] = &st;
         return Status::Ok();

@@ -15,7 +15,7 @@
 #include "script/analysis/analyzer.hpp"
 #include "script/analysis/diagnostics.hpp"
 #include "script/analysis/flow_manifest.hpp"
-#include "script/analysis/host_api.hpp"
+#include "script/host_api.hpp"
 #include "script/interpreter.hpp"
 #include "script/ir/exec.hpp"
 #include "script/ir/ir.hpp"

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <random>
 #include <span>
 
 #include "codec/bytes.hpp"
@@ -409,6 +410,126 @@ TEST(Messages, FuzzRandomGarbageNeverCrashes) {
     (void)DecodeFrame(garbage);  // must not crash; result ignored
   }
   SUCCEED();
+}
+
+// Non-canonical bodies: each decodes to a value that re-encodes to other
+// bytes, so accepting it would let raw_data store bytes no encoder wrote.
+TEST(Messages, NonCanonicalBodiesRejected) {
+  auto decodes = [](MessageType type, const Bytes& body) {
+    return DecodeBody(type, body).ok();
+  };
+  // Zero-padded varint: 0x87 0x00 is 7 written in two bytes.
+  EXPECT_TRUE(decodes(MessageType::kAck, {0x07, 0x03}));
+  EXPECT_FALSE(decodes(MessageType::kAck, {0x87, 0x00, 0x03}));
+  // A tenth varint byte carrying bits past the 64th.
+  Bytes wide(9, 0xff);
+  wide.push_back(0x01);
+  wide.push_back(0x00);
+  EXPECT_TRUE(decodes(MessageType::kAck, wide));
+  wide[9] = 0x02;
+  EXPECT_FALSE(decodes(MessageType::kAck, wide));
+  // A boolean other than 0 or 1.
+  EXPECT_TRUE(decodes(MessageType::kParticipationReply, {0x03, 0x01, 0x00}));
+  EXPECT_FALSE(decodes(MessageType::kParticipationReply, {0x03, 0x02, 0x00}));
+
+  // Integers past their field's range: budget and samples_per_window are
+  // int, incarnation is uint32.
+  auto participation = [](std::int64_t budget, std::uint64_t incarnation) {
+    ByteWriter w;
+    w.varint(42);
+    w.str("tok");
+    w.varint(7);
+    for (int i = 0; i < 3; ++i) w.f64(0.0);
+    w.svarint(budget);
+    w.svarint(1'000);
+    w.varint(incarnation);
+    return w.take();
+  };
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  const MessageType req = MessageType::kParticipationRequest;
+  EXPECT_TRUE(decodes(req, participation(kIntMax, kU32Max)));
+  EXPECT_TRUE(decodes(req, participation(-kIntMax - 1, 1)));
+  EXPECT_FALSE(decodes(req, participation(kIntMax + 1, 1)));
+  EXPECT_FALSE(decodes(req, participation(-kIntMax - 2, 1)));
+  EXPECT_FALSE(decodes(req, participation(1, kU32Max + 1)));
+
+  auto schedule = [](std::int64_t samples_per_window) {
+    ByteWriter w;
+    w.varint(3);
+    w.varint(7);
+    w.str("");
+    w.varint(0);  // no instants
+    w.svarint(5'000);
+    w.svarint(samples_per_window);
+    w.varint(0);  // no sensors
+    w.str("");
+    return w.take();
+  };
+  const MessageType dist = MessageType::kScheduleDistribution;
+  EXPECT_TRUE(decodes(dist, schedule(kIntMax)));
+  EXPECT_FALSE(decodes(dist, schedule(kIntMax + 1)));
+}
+
+// Seeded mutations of every message type's body: whatever still decodes
+// must re-encode to exactly the bytes it was decoded from.
+TEST(Messages, AcceptedBodiesReencodeByteIdentically) {
+  std::mt19937_64 rng(0xb0d1e5u);
+  constexpr std::uint8_t kInteresting[] = {0x00, 0x01, 0x02, 0x7f, 0x80, 0xff};
+  auto value = [&] {
+    return rng() % 2 == 0 ? kInteresting[rng() % std::size(kInteresting)]
+                          : static_cast<std::uint8_t>(rng());
+  };
+  int accepted = 0;
+  for (const Message& m : AllSampleMessages()) {
+    ByteWriter w;
+    EncodeBody(m, w);
+    const Bytes body = w.take();
+    for (int round = 0; round < 2'000; ++round) {
+      Bytes mutated = body;
+      const int edits = 1 + static_cast<int>(rng() % 3);
+      for (int k = 0; k < edits; ++k) {
+        const std::size_t i =
+            mutated.empty() ? 0
+                            : static_cast<std::size_t>(rng() % mutated.size());
+        switch (rng() % 5) {
+          case 0:  // overwrite
+            if (!mutated.empty()) mutated[i] = value();
+            break;
+          case 1:  // insert
+            mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(i),
+                           value());
+            break;
+          case 2:  // erase
+            if (!mutated.empty())
+              mutated.erase(mutated.begin() + static_cast<std::ptrdiff_t>(i));
+            break;
+          case 3:  // continue a varint byte into an inserted one
+            if (mutated.empty()) break;
+            mutated[i] |= 0x80;
+            mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                           value());
+            break;
+          case 4:  // widen a varint by up to nine continuation bytes
+            for (std::uint64_t n = 1 + rng() % 9; n > 0; --n) {
+              mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(i),
+                             static_cast<std::uint8_t>(rng() | 0x80));
+            }
+            break;
+        }
+      }
+      const MessageType type = TypeOf(m);
+      Result<Message> decoded = DecodeBody(type, mutated);
+      if (!decoded.ok()) continue;
+      ++accepted;
+      ByteWriter again;
+      EncodeBody(decoded.value(), again);
+      ASSERT_EQ(again.bytes(), mutated)
+          << to_string(type) << " round " << round;
+    }
+  }
+  // The sweep must exercise the accepting path, not only rejections.
+  EXPECT_GT(accepted, 1'000);
 }
 
 // --- Reed–Solomon -------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "common/rng.hpp"
 #include "core/system.hpp"
 #include "phone/task_instance.hpp"
+#include "script/host_api.hpp"
 #include "script/parser.hpp"
 #include "server/visualization.hpp"
 
@@ -45,7 +46,7 @@ TEST(DefaultScript, ParsesAndUsesOnlyKnownFunctions) {
     EXPECT_FALSE(calls.empty());
     for (const std::string& fn : calls) {
       const bool is_acquisition =
-          phone::AcquisitionFunctionSensor(fn).has_value();
+          script::AcquisitionSensor(fn).has_value();
       const bool is_builtin =
           fn == "print" || fn == "len" || fn == "mean" || fn == "stddev";
       EXPECT_TRUE(is_acquisition || is_builtin) << fn;

@@ -35,7 +35,7 @@
 #include "ast_oracle.hpp"
 #include "core/system.hpp"
 #include "script/analysis/analyzer.hpp"
-#include "script/analysis/host_api.hpp"
+#include "script/host_api.hpp"
 #include "script/analysis/passes.hpp"
 #include "script/interpreter.hpp"
 #include "script/ir/exec.hpp"
@@ -442,6 +442,29 @@ TEST(IrParity, FailingHostCallKeepsItsLine) {
   }
 }
 
+TEST(IrParity, BudgetAndShadowErrorsKeepTheirLine) {
+  // The two errors that name their line in the message ("instruction
+  // budget exhausted at line N", "line N: cannot shadow host function")
+  // carry it in Error::line too, as every other runtime error does.
+  const HostRegistry host = MakeTestHost();
+  InterpreterOptions opts;
+  opts.max_steps = 20;
+  for (const char* source :
+       {"local s = 0\n\nfor i = 1, 100 do s = s + i end\n",
+        "local a = 1\n\nfunction floor(x) return x end\n"}) {
+    const Engines e = Compile(Parse(source).value());
+    const Result<ExecutionResult> runs[] = {
+        oracle::Execute(e.program, host, opts), ir::Execute(e.raw, host, opts),
+        ir::Execute(e.opt, host, opts)};
+    for (const Result<ExecutionResult>& r : runs) {
+      ASSERT_FALSE(r.ok()) << source;
+      EXPECT_NE(r.error().message.find("line 3"), std::string::npos)
+          << r.error().message;
+      EXPECT_EQ(r.error().line, 3) << r.error().message;
+    }
+  }
+}
+
 TEST(IrParity, EvaluationOrderValueBeforeListBeforeIndex) {
   // list[i] = v evaluates v first, then the list, then the index — observable
   // through print side effects.
@@ -631,7 +654,7 @@ TEST(IrSteps, TicksBeyondOneInstructionsCapacity) {
 HostRegistry MakeExampleHost(double* acquired = nullptr) {
   HostRegistry host;
   InstallStdlib(host);
-  for (const analysis::HostSignature& sig : analysis::HostSignatures()) {
+  for (const HostSignature& sig : HostSignatures()) {
     if (!sig.sensor.has_value()) continue;
     host.Register(std::string(sig.name),
                   [acquired](std::span<const Value> args) -> Result<Value> {

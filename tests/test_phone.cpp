@@ -3,16 +3,22 @@
 // the MobileFrontend message handling against a scripted fake server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "codec/barcode.hpp"
 #include "phone/frontend.hpp"
 #include "phone/task_instance.hpp"
 #include "script/analysis/analyzer.hpp"
+#include "script/host_api.hpp"
 #include "script/ir/exec.hpp"
+#include "script/ir/lower.hpp"
+#include "script/parser.hpp"
 #include "sensors/providers.hpp"
 
 namespace sor::phone {
@@ -39,11 +45,61 @@ sensors::SensorManager MakeSensors(FakeEnvironment& env,
 // --- acquisition function mapping ------------------------------------------
 
 TEST(AcquisitionFns, MappingRoundTrip) {
-  EXPECT_EQ(AcquisitionFunctionSensor("get_location"), SensorKind::kGps);
-  EXPECT_EQ(AcquisitionFunctionSensor("get_light_readings"),
+  EXPECT_EQ(script::AcquisitionSensor("get_location"), SensorKind::kGps);
+  EXPECT_EQ(script::AcquisitionSensor("get_light_readings"),
             SensorKind::kDroneLight);
-  EXPECT_EQ(AcquisitionFunctionSensor("nope"), std::nullopt);
-  EXPECT_GE(AcquisitionFunctionNames().size(), 10u);
+  EXPECT_EQ(script::AcquisitionSensor("nope"), std::nullopt);
+  EXPECT_GE(std::ranges::count_if(script::HostSignatures(),
+                                  [](const script::HostSignature& sig) {
+                                    return sig.sensor.has_value();
+                                  }),
+            10);
+}
+
+TEST(HostApi, EveryRowIsBoundOnce) {
+  // The host-API table is the only declaration of a host function: each
+  // row names one implementer, and each binding is read off the table.
+  std::set<std::string> rows;
+  std::set<std::string> bodies;
+  int prints = 0;
+  for (const script::HostSignature& sig : script::HostSignatures()) {
+    EXPECT_TRUE(rows.emplace(sig.name).second) << "duplicate " << sig.name;
+    if (std::holds_alternative<script::StdlibBody>(sig.impl))
+      bodies.emplace(sig.name);
+    if (std::holds_alternative<script::ExecutorPrint>(sig.impl)) ++prints;
+    EXPECT_EQ(sig.sensor.has_value(),
+              std::holds_alternative<script::Acquisition>(sig.impl))
+        << sig.name;
+  }
+
+  // The executor's print is the one row marked as such, and it needs no
+  // registry entry: the executor runs it with an empty registry.
+  const std::string print(script::PrintSignature().name);
+  EXPECT_EQ(prints, 1);
+  EXPECT_TRUE(std::holds_alternative<script::ExecutorPrint>(
+      script::PrintSignature().impl));
+  EXPECT_EQ(script::FindHostSignature(print), &script::PrintSignature());
+  const script::ir::Module module =
+      script::ir::Lower(script::Parse(print + "(1, \"a\")").value());
+  Result<script::ExecutionResult> printed =
+      script::ir::Execute(module, script::HostRegistry{}, {});
+  ASSERT_TRUE(printed.ok()) << printed.error().str();
+  EXPECT_EQ(printed.value().output, "1\ta\n");
+
+  // InstallStdlib registers exactly the rows that carry a body.
+  script::HostRegistry stdlib;
+  script::InstallStdlib(stdlib);
+  const std::vector<std::string> installed = stdlib.Names();
+  EXPECT_EQ(std::set<std::string>(installed.begin(), installed.end()),
+            bodies);
+
+  // The phone's table registers every row but print: no more, no fewer.
+  const std::vector<std::string> bound =
+      TaskInstance::ThreadHostTable().Names();
+  std::set<std::string> expected = rows;
+  expected.erase(print);
+  EXPECT_EQ(bound.size(), expected.size());
+  EXPECT_EQ(std::set<std::string>(bound.begin(), bound.end()), expected);
 }
 
 // --- TaskInstance --------------------------------------------------------------

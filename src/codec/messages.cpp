@@ -55,14 +55,19 @@ void EncodeReadingTuple(const ReadingTuple& t, ByteWriter& w) {
   for (const GeoPoint& p : t.locations) EncodeGeo(p, w);
 }
 
-ReadingTuple DecodeReadingTuple(ByteReader& r) {
-  ReadingTuple t;
+namespace {
+
+// Decode one tuple into `t`, overwriting every field and reusing the
+// capacity of its vectors.
+void DecodeReadingTupleInto(ByteReader& r, ReadingTuple& t) {
+  t.values.clear();
+  t.locations.clear();
   const std::uint8_t kind = r.u8();
   if (kind >= static_cast<std::uint8_t>(SensorKind::kCount)) {
     // Unknown sensor kinds must fail the whole decode rather than be
     // silently coerced to a valid one.
     r.invalidate();
-    return t;
+    return;
   }
   t.kind = static_cast<SensorKind>(kind);
   t.t = DecodeTime(r);
@@ -78,7 +83,31 @@ ReadingTuple DecodeReadingTuple(ByteReader& r) {
   if (r.ok()) t.locations.reserve(static_cast<std::size_t>(nl));
   for (std::uint64_t i = 0; i < nl && r.ok(); ++i)
     t.locations.push_back(DecodeGeo(r));
+}
+
+}  // namespace
+
+ReadingTuple DecodeReadingTuple(ByteReader& r) {
+  ReadingTuple t;
+  DecodeReadingTupleInto(r, t);
   return t;
+}
+
+Status DecodeUploadBody(std::span<const std::uint8_t> body,
+                        SensedDataUpload& out) {
+  ByteReader r(body);
+  out.task = TaskId{r.varint()};
+  out.user = UserId{r.varint()};
+  out.seq = r.varint();
+  const std::uint64_t n = r.varint();
+  if (n > r.remaining() + 1) return Error{Errc::kDecodeError, "bad count"};
+  std::size_t used = 0;
+  for (; used < n && r.ok(); ++used) {
+    if (used == out.batches.size()) out.batches.emplace_back();
+    DecodeReadingTupleInto(r, out.batches[used]);
+  }
+  out.batches.resize(used);
+  return r.finish();
 }
 
 MessageType TypeOf(const Message& m) {
@@ -214,7 +243,7 @@ Result<Message> DecodeBody(MessageType type,
       m.budget = Narrow<int>(r.svarint(), r);
       m.scan_time = DecodeTime(r);
       m.incarnation = Narrow<std::uint32_t>(r.varint(), r);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kParticipationReply: {
@@ -222,7 +251,7 @@ Result<Message> DecodeBody(MessageType type,
       m.task = TaskId{r.varint()};
       m.accepted = r.boolean();
       m.reason = r.str();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kScheduleDistribution: {
@@ -250,27 +279,21 @@ Result<Message> DecodeBody(MessageType type,
         m.required_sensors.push_back(static_cast<SensorKind>(raw));
       }
       m.flow_manifest = r.str();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kSensedDataUpload: {
+      // Its own reader: the upload decoder checks the whole body.
       SensedDataUpload m;
-      m.task = TaskId{r.varint()};
-      m.user = UserId{r.varint()};
-      m.seq = r.varint();
-      const std::uint64_t n = r.varint();
-      if (n > r.remaining() + 1) return Error{Errc::kDecodeError, "bad count"};
-      for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-        m.batches.push_back(DecodeReadingTuple(r));
-      out = m;
-      break;
+      if (Status s = DecodeUploadBody(body, m); !s.ok()) return s.error();
+      return Message{std::move(m)};
     }
     case MessageType::kLeaveNotification: {
       LeaveNotification m;
       m.task = TaskId{r.varint()};
       m.user = UserId{r.varint()};
       m.time = DecodeTime(r);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kPing: {
@@ -282,21 +305,21 @@ Result<Message> DecodeBody(MessageType type,
       m.phone = PhoneId{r.varint()};
       m.location = DecodeGeo(r);
       m.time = DecodeTime(r);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kAck: {
       Ack m;
       m.in_reply_to = r.varint();
       m.seq = r.varint();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kErrorReply: {
       ErrorReply m;
       m.code = r.u8();
       m.message = r.str();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MessageType::kThrottleReply: {
@@ -305,7 +328,7 @@ Result<Message> DecodeBody(MessageType type,
       m.seq = r.varint();
       m.retry_after = SimDuration{r.svarint()};
       m.mode = r.u8();
-      out = m;
+      out = std::move(m);
       break;
     }
     default:

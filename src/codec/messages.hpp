@@ -182,6 +182,14 @@ void EncodeBody(const Message& m, ByteWriter& w);
 [[nodiscard]] Result<Message> DecodeBody(MessageType type,
                                          std::span<const std::uint8_t> body);
 
+// The one upload-body decoder (DecodeBody's upload case calls it): fills a
+// caller-owned `out`, reusing the storage of its batches and their vectors,
+// so a loop decoding many stored blobs into one upload allocates only when
+// a blob is larger than every one before it. On failure `out` holds a
+// partial decode and must not be used.
+[[nodiscard]] Status DecodeUploadBody(std::span<const std::uint8_t> body,
+                                      SensedDataUpload& out);
+
 // Framed envelope: magic "SOR5" | type u8 | body varint-len+bytes | crc32 of
 // everything before it. This is the unit handed to the transport. The magic
 // doubles as the wire version; it was bumped from "SOR1" when seq fields
@@ -205,7 +213,7 @@ struct FrameView {
     std::span<const std::uint8_t> frame);
 
 // Reading-batch (de)serialization is also used standalone by the Data
-// Processor when decoding blobs pulled back out of the database.
+// Processor's persisted accumulator state.
 void EncodeReadingTuple(const ReadingTuple& r, ByteWriter& w);
 [[nodiscard]] ReadingTuple DecodeReadingTuple(ByteReader& r);
 

@@ -147,6 +147,17 @@ AppAccumulatorState* DataProcessor::GetOrLoadState(AppId app,
   return ptr;
 }
 
+void DataProcessor::PersistState() {
+  std::lock_guard lock(state_mu_);
+  Table* persisted = db_.table(db::tables::kProcessorState);
+  if (persisted == nullptr) return;
+  for (const auto& [app, state] : acc_) {
+    if (state->cursor == 0) continue;  // nothing ingested, nothing to resume
+    (void)persisted->Upsert({Value(static_cast<std::int64_t>(app)),
+                             Value(state->cursor), Value(state->Encode())});
+  }
+}
+
 Result<int> DataProcessor::ProcessApp(const ApplicationRecord& app,
                                       SimTime now,
                                       DataProcessorStats* sink) {
@@ -211,14 +222,15 @@ Result<int> DataProcessor::ProcessAppIncremental(const ApplicationRecord& app,
   // running concurrently) so per-app calls never contend.
   DataProcessorStats local;
   std::vector<std::int64_t> new_ids;
+  // One upload, decoded into again for every blob: its tuples' vectors
+  // keep their capacity, so the pass allocates only for a new largest blob.
+  SensedDataUpload upload;
   raw->ForEachWhereEqFromPk(
       "app_id", Value(app.id.value()), Value(state->cursor),
       [&](const Row& row) {
         new_ids.push_back(row[kRawIdCol].as_int());
         const db::Blob& body = row[kRawBodyCol].as_blob();
-        Result<Message> decoded =
-            DecodeBody(MessageType::kSensedDataUpload, body);
-        if (!decoded.ok()) {
+        if (Status decoded = DecodeUploadBody(body, upload); !decoded.ok()) {
           ++local.blobs_rejected;
           SOR_LOG(kWarn, "processor",
                   "rejecting malformed upload blob: "
@@ -226,7 +238,6 @@ Result<int> DataProcessor::ProcessAppIncremental(const ApplicationRecord& app,
           return true;
         }
         ++local.blobs_decoded;
-        const auto& upload = std::get<SensedDataUpload>(decoded.value());
         if (tracing) {
           tracer_->Emit(stream, now, obs::EventKind::kBlobProcessed,
                         upload.task.value(), upload.seq, app.id.value());
@@ -260,17 +271,10 @@ Result<int> DataProcessor::ProcessAppIncremental(const ApplicationRecord& app,
   }
 
   // Flag the consumed raw rows as processed — point in-place flips, no row
-  // copies, no re-indexing — and persist the accumulator state so a crash
-  // (or snapshot/restore) resumes from the cursor instead of re-ingesting.
+  // copies, no re-indexing. The accumulator state stays in memory; it is
+  // written to processor_state only at snapshot time (PersistState).
   for (std::int64_t raw_id : new_ids)
     (void)raw->UpdateInPlace(Value(raw_id), kRawProcessedCol, Value(true));
-  if (!new_ids.empty()) {
-    if (Table* persisted = db_.table(db::tables::kProcessorState)) {
-      const std::int64_t app_key = static_cast<std::int64_t>(app.id.value());
-      (void)persisted->Upsert(
-          {Value(app_key), Value(state->cursor), Value(state->Encode())});
-    }
-  }
 
   {
     std::lock_guard lock(state_mu_);

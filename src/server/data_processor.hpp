@@ -8,9 +8,13 @@
 // the database to serve as input for the Personalizable Ranker."
 //
 // ProcessApp() runs one of two equivalent paths (docs/performance.md):
-//   * incremental (default) — persistent per-app accumulators
-//     (AppAccumulatorState) are fed only the blobs past the app's raw_id
-//     cursor, so a pass costs O(new uploads) instead of O(total history);
+//   * incremental (default) — per-app accumulators (AppAccumulatorState),
+//     cached in memory, are fed only the blobs past the app's raw_id
+//     cursor, each decoded once into one reused upload, so a pass costs
+//     O(new uploads) instead of O(total history). PersistState writes them
+//     to the processor_state table; the server calls it at snapshot time
+//     only, since state changes only inside passes and only a restore
+//     reads it back;
 //   * full recompute (options.incremental = false) — decode every blob of
 //     the app and extract from scratch. Kept as the test oracle: both paths
 //     must produce bit-identical feature rows and trace events.
@@ -109,6 +113,12 @@ class DataProcessor {
   // snapshot restore, before RestoreProgress repopulates; persisted
   // accumulator state reloads lazily from the processor_state table.
   void ResetRuntimeState();
+
+  // Upsert every cached accumulator state that has ingested blobs into
+  // processor_state, one encode per such app. Serial contexts only (no
+  // ProcessApp may run concurrently); SensingServer::SnapshotState calls
+  // it before serializing the database.
+  void PersistState();
 
   // Fetch one computed feature value (for tests/visualization).
   [[nodiscard]] Result<double> FeatureValue(AppId app,

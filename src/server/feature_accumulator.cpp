@@ -1,6 +1,7 @@
 #include "server/feature_accumulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/geo.hpp"
 
@@ -10,61 +11,74 @@ double GpsCurvatureOfTracks(
     const std::map<std::uint64_t, std::vector<ReadingTuple>>& gps_by_task,
     std::size_t* n_samples) {
   RunningStats per_track;
+  std::vector<const ReadingTuple*> tuples;
+  std::vector<std::pair<std::int64_t, GeoPoint>> timed;
+  std::vector<GeoPoint> smooth;
   for (const auto& [task, stored] : gps_by_task) {
-    // Sort a copy by window start so curvature follows the walk order;
-    // stable, so a pre-sorted input (the full-recompute oracle) is a no-op.
-    std::vector<ReadingTuple> tuples = stored;
+    // Order the tuples by window start so curvature follows the walk order;
+    // stable, so a pre-sorted input (the full-recompute oracle) keeps its
+    // order. Pointers, not copies: the stored tuples stay where they are.
+    tuples.clear();
+    std::size_t n_fixes = 0;
+    for (const ReadingTuple& t : stored) {
+      tuples.push_back(&t);
+      n_fixes += t.locations.size();
+    }
     std::stable_sort(tuples.begin(), tuples.end(),
-                     [](const ReadingTuple& a, const ReadingTuple& b) {
-                       return a.t < b.t;
+                     [](const ReadingTuple* a, const ReadingTuple* b) {
+                       return a->t < b->t;
                      });
     // Fixes within a tuple carry no individual timestamps on the wire, but
     // they are evenly spread over [t, t+Δt]; reconstruct their times, order
     // the whole track, then smooth against GPS noise.
-    std::vector<std::pair<std::int64_t, GeoPoint>> timed;
-    for (const ReadingTuple& t : tuples) {
-      const std::size_t n = t.locations.size();
+    timed.clear();
+    timed.reserve(n_fixes);
+    for (const ReadingTuple* t : tuples) {
+      const std::size_t n = t->locations.size();
       for (std::size_t i = 0; i < n; ++i) {
         const std::int64_t offset =
-            n > 1 ? t.dt.ms * static_cast<std::int64_t>(i) /
+            n > 1 ? t->dt.ms * static_cast<std::int64_t>(i) /
                         static_cast<std::int64_t>(n - 1)
                   : 0;
-        timed.emplace_back(t.t.ms + offset, t.locations[i]);
+        timed.emplace_back(t->t.ms + offset, t->locations[i]);
       }
     }
     std::stable_sort(
         timed.begin(), timed.end(),
         [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<GeoPoint> fixes;
-    fixes.reserve(timed.size());
-    for (const auto& [ms, p] : timed) fixes.push_back(p);
-    if (fixes.size() < 5) continue;
+    const std::size_t n = timed.size();
+    if (n < 5) continue;
+    const auto fix = [&](std::size_t i) -> const GeoPoint& {
+      return timed[i].second;
+    };
 
     // 3-point moving-average smoothing.
-    std::vector<GeoPoint> smooth(fixes.size());
-    smooth.front() = fixes.front();
-    smooth.back() = fixes.back();
-    for (std::size_t i = 1; i + 1 < fixes.size(); ++i) {
+    smooth.resize(n);
+    smooth.front() = fix(0);
+    smooth.back() = fix(n - 1);
+    for (std::size_t i = 1; i + 1 < n; ++i) {
       smooth[i].lat_deg =
-          (fixes[i - 1].lat_deg + fixes[i].lat_deg + fixes[i + 1].lat_deg) /
-          3.0;
+          (fix(i - 1).lat_deg + fix(i).lat_deg + fix(i + 1).lat_deg) / 3.0;
       smooth[i].lon_deg =
-          (fixes[i - 1].lon_deg + fixes[i].lon_deg + fixes[i + 1].lon_deg) /
-          3.0;
+          (fix(i - 1).lon_deg + fix(i).lon_deg + fix(i + 1).lon_deg) / 3.0;
       smooth[i].alt_m =
-          (fixes[i - 1].alt_m + fixes[i].alt_m + fixes[i + 1].alt_m) / 3.0;
+          (fix(i - 1).alt_m + fix(i).alt_m + fix(i + 1).alt_m) / 3.0;
     }
 
+    // Each smoothed segment's length is computed once: the vertex at i
+    // reads the segment before it (carried over) and the one after it.
     RunningStats curv;
-    for (std::size_t i = 1; i + 1 < smooth.size(); ++i) {
+    double before = HaversineMeters(smooth[0], smooth[1]);
+    for (std::size_t i = 1; i + 1 < n; ++i) {
+      const double after = HaversineMeters(smooth[i], smooth[i + 1]);
       // Skip near-stationary vertices: angle is undefined noise there.
-      if (HaversineMeters(smooth[i - 1], smooth[i]) < 5.0 ||
-          HaversineMeters(smooth[i], smooth[i + 1]) < 5.0)
-        continue;
+      const bool stationary = before < 5.0 || after < 5.0;
+      before = after;
+      if (stationary) continue;
       curv.add(PolylineCurvature(smooth[i - 1], smooth[i], smooth[i + 1]));
     }
     if (curv.count() == 0) continue;
-    *n_samples += fixes.size();
+    *n_samples += n;
     per_track.add(curv.mean() * 1000.0);
   }
   return per_track.mean();
@@ -133,9 +147,13 @@ double AppAccumulatorState::Finalize(std::size_t j, const FeatureDef& def,
 
 namespace {
 constexpr std::uint8_t kStateVersion = 1;
+std::atomic<std::uint64_t> g_encodes{0};
 }  // namespace
 
+std::uint64_t AppAccumulatorState::encodes() { return g_encodes.load(); }
+
 Bytes AppAccumulatorState::Encode() const {
+  g_encodes.fetch_add(1, std::memory_order_relaxed);
   ByteWriter w;
   w.u8(kStateVersion);
   w.svarint(cursor);
@@ -172,7 +190,11 @@ Result<AppAccumulatorState> AppAccumulatorState::Decode(
   s.features.resize(n_features);
   for (FeatureAccState& f : s.features) {
     const std::uint64_t n_values = r.varint();
-    if (!r.ok()) break;
+    // A count the bytes left cannot hold fails the decode, not the reserve.
+    if (!r.ok() || n_values > r.remaining() / 8) {
+      r.invalidate();
+      break;
+    }
     f.values.reserve(n_values);
     for (std::uint64_t i = 0; i < n_values && r.ok(); ++i)
       f.values.push_back(r.f64());
@@ -188,6 +210,11 @@ Result<AppAccumulatorState> AppAccumulatorState::Decode(
   for (std::uint64_t i = 0; i < n_tasks && r.ok(); ++i) {
     const std::uint64_t task = r.varint();
     const std::uint64_t n_tuples = r.varint();
+    // An encoded tuple is at least 5 bytes (kind, t, dt, two counts).
+    if (n_tuples > r.remaining() / 5) {
+      r.invalidate();
+      break;
+    }
     auto& tuples = s.gps_by_task[task];
     tuples.reserve(n_tuples);
     for (std::uint64_t k = 0; k < n_tuples && r.ok(); ++k)

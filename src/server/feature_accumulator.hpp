@@ -22,9 +22,11 @@
 // RunningStats::FromMoments. tests/test_perf.cpp holds both paths side by
 // side to enforce this.
 //
-// State is serializable (Encode/Decode) and stored in the processor_state
-// table, so db snapshot/restore (PR 1 crash recovery) resumes the
-// incremental path mid-campaign instead of silently re-ingesting history.
+// State is serializable (Encode/Decode). The Data Processor keeps it in
+// memory between passes and writes it to the processor_state table when
+// the server snapshots (DataProcessor::PersistState), so snapshot/restore
+// crash recovery resumes the incremental path mid-campaign instead of
+// silently re-ingesting history.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +43,11 @@ namespace sor::server {
 
 // Whole-track curvature (mrad/m) averaged across tasks, the method of the
 // paper's [17]. Shared by the incremental finalize and the full-recompute
-// oracle so both paths run literally the same arithmetic: tuples are sorted
-// per task by window start (on a copy — stable, hence idempotent when the
-// caller already sorted), fix times are reconstructed evenly over [t, t+Δt],
-// the track is 3-point smoothed, and near-stationary vertices are skipped.
+// oracle so both paths run literally the same arithmetic: tuples are ordered
+// per task by window start (a stable sort of pointers, so the stored tuples
+// are neither copied nor reordered), fix times are reconstructed evenly
+// over [t, t+Δt], the track is 3-point smoothed, and vertices next to a
+// segment under 5 m are skipped (each segment length is computed once).
 // `n_samples` accumulates the fix count of every track that contributed.
 [[nodiscard]] double GpsCurvatureOfTracks(
     const std::map<std::uint64_t, std::vector<ReadingTuple>>& gps_by_task,
@@ -82,10 +85,14 @@ struct AppAccumulatorState {
                                 std::size_t* n_samples) const;
 
   // Deterministic binary round-trip; Decode fails (kDecodeError) on version
-  // or shape mismatch, e.g. a snapshot taken under a different feature list.
+  // or shape mismatch, e.g. a snapshot taken under a different feature list,
+  // and on a count that the bytes left cannot hold.
   [[nodiscard]] Bytes Encode() const;
   [[nodiscard]] static Result<AppAccumulatorState> Decode(
       std::span<const std::uint8_t> bytes, std::size_t expected_features);
+
+  // How many times this process has run Encode (the perf tests count them).
+  [[nodiscard]] static std::uint64_t encodes();
 };
 
 }  // namespace sor::server

@@ -99,7 +99,8 @@ class SensingServer final : public net::Endpoint {
   // row set is disjoint and the table locks are shared for reads, so the
   // only cross-app state is the stats counters, which merge under a mutex.
   // Results (features, processed flags, returned total) are independent of
-  // thread count.
+  // thread count. Each call's wall time lands in the "processor.pass_ns"
+  // histogram of the attached registry (telemetry only, never traced).
   Result<int> ProcessAllData();
 
   // Borrow a worker pool for ProcessAllData / FlushReschedules. Not owned;
@@ -137,8 +138,11 @@ class SensingServer final : public net::Endpoint {
   // --- crash recovery ------------------------------------------------------
   // Serialize the full database (the durable state: users, apps,
   // participations, raw uploads with their seqs, features, schedules) into
-  // one restorable buffer — what the prototype got from PostgreSQL.
-  [[nodiscard]] Bytes SnapshotState() const;
+  // one restorable buffer — what the prototype got from PostgreSQL. First
+  // writes the Data Processor's accumulator state into processor_state
+  // (DataProcessor::PersistState): processing passes keep it in memory
+  // only, so the snapshot is the one place it is encoded.
+  [[nodiscard]] Bytes SnapshotState();
 
   // Rebuild this server from a snapshot, as a freshly started process would
   // after a crash: replaces the database wholesale, re-syncs every id
@@ -174,8 +178,12 @@ class SensingServer final : public net::Endpoint {
   void MaybeResyncAfterRestart(TaskId task);
   // Rebuild every derived process structure (id generators, upload dedup
   // index, processor watermarks) from the CURRENT database tables. The
-  // shared tail of RestoreFromSnapshot and Reprime.
+  // shared tail of RestoreFromSnapshot and Reprime. The Data Processor's
+  // cached accumulators are left alone: they hold only what processing
+  // passes folded in from committed rows, and a reprime keeps the tables.
   void RebuildDerivedState();
+  // ProcessAllData without its timer.
+  Result<int> ProcessEveryApp();
   // Quarantine-and-reprime after storage write failures: suspect the
   // process state, not the rows — rebuild the derived structures in place
   // and enter kRecovering for the rest of the tick.
@@ -215,6 +223,7 @@ class SensingServer final : public net::Endpoint {
     obs::Counter* recoveries = nullptr;
     obs::Counter* resyncs_triggered = nullptr;
     obs::Histogram* upload_batch_tuples = nullptr;  // tuples per stored blob
+    obs::Histogram* pass_ns = nullptr;  // wall time of each ProcessAllData
   };
   ServerCounters obs_;
 

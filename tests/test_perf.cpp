@@ -11,6 +11,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -18,8 +19,10 @@
 #include <thread>
 
 #include "codec/barcode.hpp"
+#include "codec/bytes.hpp"
 #include "common/features.hpp"
 #include "core/fleet.hpp"
+#include "db/storage_faults.hpp"
 #include "obs/metrics.hpp"
 #include "phone/frontend.hpp"
 #include "phone/task_instance.hpp"
@@ -326,6 +329,128 @@ TEST(Perf, AccumulatorStateSurvivesSnapshotRestore) {
   // blobs were read after restore, not the whole history again.
   // (live decoded all 4; restored decoded 2 post-restore.)
   EXPECT_EQ(restored.server.data_processor().stats().blobs_decoded, 2u);
+}
+
+TEST(Perf, ProcessingPassPersistsNoAccumulatorState) {
+  // Passes keep the accumulators in memory; only a snapshot encodes them,
+  // once per app that has ingested blobs.
+  PerfFixture f(/*trail=*/true);
+  // A second app that never receives an upload: its first pass writes the
+  // zero-valued rows and caches an empty state, which is not persisted.
+  ASSERT_TRUE(f.server.DeployApplication(PerfAppSpec(false)).ok());
+  const db::Table* persisted =
+      f.server.database().table(db::tables::kProcessorState);
+  const std::uint64_t before = AppAccumulatorState::encodes();
+  for (int i = 0; i < 3; ++i) {
+    f.SendTrailReadings(i);
+    ASSERT_TRUE(f.server.ProcessAllData().ok());
+  }
+  ASSERT_TRUE(f.server.ProcessAllData().ok());  // a pass with nothing new
+  EXPECT_EQ(AppAccumulatorState::encodes() - before, 0u);
+  EXPECT_EQ(persisted->size(), 0u);
+
+  (void)f.server.SnapshotState();
+  EXPECT_EQ(AppAccumulatorState::encodes() - before, 1u);
+  EXPECT_EQ(persisted->size(), 1u);
+}
+
+TEST(Perf, ReprimeKeepsAccumulatorState) {
+  // A storage-failure reprime rebuilds the watermarks from the intact
+  // tables but keeps the cached accumulators, which hold only what passes
+  // folded in from committed rows: the next pass decodes only new blobs,
+  // although no state row was ever persisted to reload from.
+  PerfFixture f(/*trail=*/true);
+  OverloadConfig cfg;
+  cfg.reprime_after_failures = 1;
+  f.server.set_overload(cfg);
+  f.SendTrailReadings(0);
+  f.SendTrailReadings(1);
+  ASSERT_TRUE(f.server.ProcessAllData().ok());
+
+  db::StorageFaultInjector faults;
+  db::StorageFaultRule rule;
+  rule.table = db::tables::kRawData;
+  rule.fail_next = 1;
+  faults.AddRule(rule);
+  f.server.database().AttachStorageFaults(&faults);
+  f.SendTrailReadings(2);  // the write fails, and the server reprimes
+  f.server.database().AttachStorageFaults(nullptr);
+  ASSERT_EQ(f.server.stats().reprimes, 1u);
+
+  f.clock.advance(SimDuration{10'000});
+  f.SendTrailReadings(2);  // the retry lands
+  f.SendTrailReadings(3);
+  ASSERT_TRUE(f.server.ProcessAllData().ok());
+  EXPECT_EQ(f.server.data_processor().stats().blobs_decoded, 4u);
+
+  PerfFixture oracle(/*trail=*/true);
+  UseFullRecompute(oracle.server);
+  for (int i = 0; i < 4; ++i) oracle.SendTrailReadings(i);
+  oracle.clock.advance(SimDuration{10'000});
+  ASSERT_TRUE(oracle.server.ProcessAllData().ok());
+  const std::vector<db::Row> want = oracle.FeatureRows();
+  const std::vector<db::Row> got = f.FeatureRows();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t r = 0; r < want.size(); ++r)
+    EXPECT_EQ(got[r], want[r]) << "row " << r;
+}
+
+TEST(Perf, OversizedStateCountDiscardedAndReingested) {
+  // A processor_state row whose counts claim more entries than its bytes
+  // hold must fail the state decode, not the allocation: the restored
+  // server logs the discard, re-ingests the app's history once and writes
+  // the features of the full recompute.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  ByteWriter huge_values;  // version, cursor, 1 feature of kHuge readings
+  huge_values.u8(1);
+  huge_values.svarint(2);
+  huge_values.varint(1);
+  huge_values.varint(kHuge);
+  ByteWriter huge_tuples;  // no features, 1 task of kHuge GPS tuples
+  huge_tuples.u8(1);
+  huge_tuples.svarint(2);
+  huge_tuples.varint(0);
+  huge_tuples.varint(1);
+  huge_tuples.varint(7);
+  huge_tuples.varint(kHuge);
+
+  PerfFixture oracle(/*trail=*/true);
+  UseFullRecompute(oracle.server);
+  for (int i = 0; i < 4; ++i) oracle.SendTrailReadings(i);
+  ASSERT_TRUE(oracle.server.ProcessAllData().ok());
+  const std::vector<db::Row> want = oracle.FeatureRows();
+  ASSERT_FALSE(want.empty());
+
+  for (const Bytes& hostile : {huge_values.take(), huge_tuples.take()}) {
+    PerfFixture live(/*trail=*/true);
+    live.SendTrailReadings(0);
+    live.SendTrailReadings(1);
+    ASSERT_TRUE(live.server.ProcessAllData().ok());
+    PerfFixture restored(/*trail=*/true);
+    ASSERT_TRUE(restored.server.RestoreFromSnapshot(live.server.SnapshotState())
+                    .ok());
+    db::Table* persisted =
+        restored.server.database().table(db::tables::kProcessorState);
+    const std::optional<db::Row> row = persisted->FindByKey(
+        db::Value(static_cast<std::int64_t>(restored.app.value())));
+    ASSERT_TRUE(row.has_value());
+    ASSERT_TRUE(
+        persisted->Upsert({(*row)[0], (*row)[1], db::Value(hostile)}).ok());
+
+    restored.SendTrailReadings(2);
+    restored.SendTrailReadings(3);
+    testing::internal::CaptureStderr();
+    const Result<int> processed = restored.server.ProcessAllData();
+    const std::string log = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(processed.ok());
+    EXPECT_NE(log.find("discarding persisted state"), std::string::npos)
+        << log;
+    EXPECT_EQ(restored.server.data_processor().stats().blobs_decoded, 4u);
+    const std::vector<db::Row> got = restored.FeatureRows();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t r = 0; r < want.size(); ++r)
+      EXPECT_EQ(got[r], want[r]) << "row " << r;
+  }
 }
 
 // --- the O(delta) replanning guarantees -------------------------------------

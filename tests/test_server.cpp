@@ -3,12 +3,16 @@
 // visualization module.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <optional>
 
 #include "codec/crc32.hpp"
 #include "common/features.hpp"
+#include "common/rng.hpp"
 #include "phone/frontend.hpp"
 #include "server/server.hpp"
 #include "server/coverage_report.hpp"
@@ -829,6 +833,168 @@ TEST(DataProcessor, CurvatureFromGpsTrack) {
                                   .FeatureValue(app, features::kCurvature)
                                   .value();
   EXPECT_GT(curved_value, 1.0);
+}
+
+// The plain form of GpsCurvatureOfTracks: it sorts copies of the tuples and
+// measures both segments at every vertex. Both processing paths call the
+// shipped function, so their equivalence tests cannot see a change in its
+// arithmetic; this reference, sharing no code with it, can.
+double ReferenceGpsCurvature(
+    const std::map<std::uint64_t, std::vector<ReadingTuple>>& gps_by_task,
+    std::size_t* n_samples) {
+  RunningStats per_track;
+  for (const auto& [task, stored] : gps_by_task) {
+    // Sort a copy by window start so curvature follows the walk order;
+    // stable, so a pre-sorted input (the full-recompute oracle) is a no-op.
+    std::vector<ReadingTuple> tuples = stored;
+    std::stable_sort(tuples.begin(), tuples.end(),
+                     [](const ReadingTuple& a, const ReadingTuple& b) {
+                       return a.t < b.t;
+                     });
+    // Fixes within a tuple carry no individual timestamps on the wire, but
+    // they are evenly spread over [t, t+Δt]; reconstruct their times, order
+    // the whole track, then smooth against GPS noise.
+    std::vector<std::pair<std::int64_t, GeoPoint>> timed;
+    for (const ReadingTuple& t : tuples) {
+      const std::size_t n = t.locations.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::int64_t offset =
+            n > 1 ? t.dt.ms * static_cast<std::int64_t>(i) /
+                        static_cast<std::int64_t>(n - 1)
+                  : 0;
+        timed.emplace_back(t.t.ms + offset, t.locations[i]);
+      }
+    }
+    std::stable_sort(
+        timed.begin(), timed.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<GeoPoint> fixes;
+    fixes.reserve(timed.size());
+    for (const auto& [ms, p] : timed) fixes.push_back(p);
+    if (fixes.size() < 5) continue;
+
+    // 3-point moving-average smoothing.
+    std::vector<GeoPoint> smooth(fixes.size());
+    smooth.front() = fixes.front();
+    smooth.back() = fixes.back();
+    for (std::size_t i = 1; i + 1 < fixes.size(); ++i) {
+      smooth[i].lat_deg =
+          (fixes[i - 1].lat_deg + fixes[i].lat_deg + fixes[i + 1].lat_deg) /
+          3.0;
+      smooth[i].lon_deg =
+          (fixes[i - 1].lon_deg + fixes[i].lon_deg + fixes[i + 1].lon_deg) /
+          3.0;
+      smooth[i].alt_m =
+          (fixes[i - 1].alt_m + fixes[i].alt_m + fixes[i + 1].alt_m) / 3.0;
+    }
+
+    RunningStats curv;
+    for (std::size_t i = 1; i + 1 < smooth.size(); ++i) {
+      // Skip near-stationary vertices: angle is undefined noise there.
+      if (HaversineMeters(smooth[i - 1], smooth[i]) < 5.0 ||
+          HaversineMeters(smooth[i], smooth[i + 1]) < 5.0)
+        continue;
+      curv.add(PolylineCurvature(smooth[i - 1], smooth[i], smooth[i + 1]));
+    }
+    if (curv.count() == 0) continue;
+    *n_samples += fixes.size();
+    per_track.add(curv.mean() * 1000.0);
+  }
+  return per_track.mean();
+}
+
+// Seeded tracks with the inputs that exercise each ordering and skip rule:
+// tuples stored out of walk order, tuples sharing a window start, one-fix
+// and zero-dt tuples, stretches of steps under 5 m, and tracks too short to
+// smooth.
+std::map<std::uint64_t, std::vector<ReadingTuple>> SeededGpsTracks(
+    std::uint64_t seed) {
+  Rng rng(seed);
+  std::map<std::uint64_t, std::vector<ReadingTuple>> tracks;
+  const int n_tasks = static_cast<int>(rng.uniform_int(1, 6));
+  for (int task = 0; task < n_tasks; ++task) {
+    std::vector<ReadingTuple>& tuples = tracks[100 + task];
+    GeoPoint at{43.0, -76.0, 100.0};
+    double heading = rng.uniform(0.0, 6.28);
+    const bool short_track = rng.chance(0.2);
+    // Up to 30 tuples: past the size where std::sort stops being an
+    // insertion sort, so an unstable sort would reorder equal starts.
+    const int n_tuples =
+        short_track ? 1 : static_cast<int>(rng.uniform_int(1, 30));
+    for (int k = 0; k < n_tuples; ++k) {
+      ReadingTuple gps;
+      gps.kind = SensorKind::kGps;
+      // Few distinct window starts, so tuples often share one.
+      gps.t = SimTime{rng.uniform_int(0, 4) * 20'000};
+      gps.dt = SimDuration{rng.uniform_int(0, 3) * 10'000};
+      const int n_fixes =
+          short_track ? static_cast<int>(rng.uniform_int(0, 4))
+          : rng.chance(0.25) ? 1
+                             : static_cast<int>(rng.uniform_int(2, 12));
+      const bool dawdling = rng.chance(0.3);  // a stretch of tiny steps
+      for (int i = 0; i < n_fixes; ++i) {
+        gps.locations.push_back(at);
+        gps.values.push_back(at.alt_m);
+        heading += rng.uniform(-0.6, 0.6);
+        const double step =
+            dawdling ? rng.uniform(0.2, 4.5) : rng.uniform(5.0, 40.0);
+        at = OffsetMeters(at, step * std::cos(heading),
+                          step * std::sin(heading));
+        at.alt_m += rng.uniform(-1.0, 1.0);
+      }
+      tuples.push_back(std::move(gps));
+    }
+    // Shuffled arrival: the stored order is not the walk order.
+    for (std::size_t i = tuples.size(); i > 1; --i) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+      std::swap(tuples[i - 1], tuples[j]);
+    }
+  }
+  return tracks;
+}
+
+TEST(DataProcessor, GpsCurvatureMatchesReferenceBitForBit) {
+  int curved = 0;
+  int skipped = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const auto tracks = SeededGpsTracks(seed);
+    std::size_t want_samples = 0;
+    std::size_t got_samples = 0;
+    const double want = ReferenceGpsCurvature(tracks, &want_samples);
+    const double got = GpsCurvatureOfTracks(tracks, &got_samples);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "seed " << seed << ": " << got << " vs " << want;
+    EXPECT_EQ(got_samples, want_samples) << "seed " << seed;
+    std::size_t fixes = 0;
+    for (const auto& [task, tuples] : tracks)
+      for (const ReadingTuple& t : tuples) fixes += t.locations.size();
+    if (want_samples > 0) ++curved;
+    if (want_samples < fixes) ++skipped;
+  }
+  // The corpus reaches both sides of every skip rule.
+  EXPECT_GT(curved, 100);
+  EXPECT_GT(skipped, 100);
+}
+
+TEST(DataProcessor, PassTimeHistogramRecordsOneSamplePerPass) {
+  ServerFixture f;
+  obs::MetricsRegistry registry;
+  f.server.AttachObservability(&registry, nullptr);
+  ASSERT_TRUE(f.server.DeployApplication(TestAppSpec()).ok());
+  obs::Histogram& pass_ns =
+      registry.histogram("processor.pass_ns", obs::ExponentialBuckets(1, 2, 2));
+  // The first pass writes the zero-valued rows, the later ones skip the
+  // app: every ProcessAllData is one sample either way.
+  for (std::uint64_t pass = 1; pass <= 3; ++pass) {
+    ASSERT_TRUE(f.server.ProcessAllData().ok());
+    const obs::Histogram::Snapshot snap = pass_ns.Read();
+    EXPECT_EQ(snap.count, pass);
+    EXPECT_GT(snap.sum, 0.0);
+  }
+  // Nanosecond buckets from 1 µs, as core.merge_wait_ns.
+  EXPECT_EQ(pass_ns.Read().upper_bounds.front(), 1000.0);
 }
 
 TEST(DataProcessor, BrokenSensorOutlierRejected) {

@@ -216,6 +216,13 @@ else
   echo "ci: build/bench/micro_db not built; skipping storage cost report" >&2
 fi
 
+echo "=== stage: layerbench self-test ==="
+# The layer-timed benchmark (layerbench/README.md) builds its own copy of
+# the libraries into the gitignored .bench_build/ and checks its campaign
+# driver against the System::RunFieldTest oracle. A change that breaks the
+# benchmark's build or its equivalence fails here, not at benchmark time.
+python3 layerbench/run.py --self-test
+
 echo "=== stage: 10k-phone scale smoke (O(delta) scheduling) ==="
 # One 10k-phone campaign cell (~50s serial). The gate is the counters, not
 # the wall time: plan-delta distribution must send EXACTLY one schedule per

@@ -16,6 +16,7 @@
 // 1), so whatever decodes re-encodes to the same bytes.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -28,14 +29,27 @@ namespace sor {
 
 using Bytes = std::vector<std::uint8_t>;
 
+// Zigzag: small magnitudes (positive or negative) stay small on the wire.
+[[nodiscard]] inline std::uint64_t ZigZag(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^
+         static_cast<std::uint64_t>(v >> 63);
+}
+
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Reserve `capacity` bytes up front: a writer sized for its output never
+  // reallocates.
+  explicit ByteWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32_fixed(std::uint32_t v);
-  void u64_fixed(std::uint64_t v);
+  // Fixed-width fields are little-endian on the wire whatever the host byte
+  // order; the shifts compile to one store on little-endian hosts.
+  void u32_fixed(std::uint32_t v) { StoreLe(v); }
+  void u64_fixed(std::uint64_t v) { StoreLe(v); }
   void varint(std::uint64_t v);
-  void svarint(std::int64_t v);  // zigzag
-  void f64(double v);
+  void svarint(std::int64_t v) { varint(ZigZag(v)); }
+  void f64(double v) { u64_fixed(std::bit_cast<std::uint64_t>(v)); }
   void str(std::string_view s);
   void blob(std::span<const std::uint8_t> b);
   void boolean(bool b) { u8(b ? 1 : 0); }
@@ -45,6 +59,14 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
+  template <typename T>
+  void StoreLe(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
   Bytes buf_;
 };
 
@@ -56,11 +78,11 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32_fixed();
-  [[nodiscard]] std::uint64_t u64_fixed();
+  [[nodiscard]] std::uint32_t u32_fixed() { return Fixed<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64_fixed() { return Fixed<std::uint64_t>(); }
   [[nodiscard]] std::uint64_t varint();
   [[nodiscard]] std::int64_t svarint();
-  [[nodiscard]] double f64();
+  [[nodiscard]] double f64() { return std::bit_cast<double>(u64_fixed()); }
   [[nodiscard]] std::string str();
   [[nodiscard]] Bytes blob();
   // Same as blob(), but a view into the reader's input instead of a copy;
@@ -89,6 +111,19 @@ class ByteReader {
 
  private:
   void fail() { ok_ = false; }
+  template <typename T>
+  T Fixed() {
+    if (!ok_ || remaining() < sizeof(T)) {
+      fail();
+      return 0;
+    }
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      v |= static_cast<T>(data_[pos_ + i]) << (8 * i);
+    pos_ += sizeof(T);
+    return v;
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   bool ok_ = true;

@@ -28,6 +28,8 @@ constexpr Crc32Tables MakeTables() {
 
 constexpr Crc32Tables kTables = MakeTables();
 
+thread_local std::uint64_t crc32_bytes = 0;
+
 // Little-endian load, independent of host byte order and alignment (the
 // compiler folds it into one load on little-endian targets).
 inline std::uint32_t LoadLe32(const std::uint8_t* p) {
@@ -39,7 +41,10 @@ inline std::uint32_t LoadLe32(const std::uint8_t* p) {
 
 }  // namespace
 
+std::uint64_t crc32_bytes_on_this_thread() { return crc32_bytes; }
+
 std::uint32_t Crc32(std::span<const std::uint8_t> data) {
+  crc32_bytes += data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();

@@ -8,6 +8,7 @@ namespace {
 
 constexpr std::size_t kHeaderSize = 4;   // u32 payload length
 constexpr std::size_t kTrailerSize = 4;  // u32 crc32(payload)
+static_assert(kHeaderSize + kTrailerSize == kFrameOverhead);
 
 std::uint32_t ReadU32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |

@@ -18,8 +18,9 @@
 // produces and pop whole validated payloads. Framing errors (oversized
 // length, CRC mismatch) poison the stream: once byte alignment is lost
 // there is no way to find the next record boundary, so the connection must
-// be dropped. Both the socket transports and LoopbackNetwork route every
-// frame through this codec, so the two paths cannot drift.
+// be dropped. The socket and pipe transports route every frame through
+// this codec; LoopbackNetwork crosses no byte stream and only counts the
+// record size, kFrameOverhead more than the frame's.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,9 @@ namespace sor::codec {
 // frame is a schedule for a huge app — while still rejecting a corrupt
 // length field before it turns into a multi-gigabyte allocation.
 inline constexpr std::size_t kMaxFramePayload = 16u << 20;  // 16 MiB
+
+// Bytes a record adds around its payload: the length prefix and the CRC.
+inline constexpr std::size_t kFrameOverhead = 8;
 
 // Append one framed record carrying `payload` to `out`.
 void AppendFrame(Bytes& out, std::span<const std::uint8_t> payload);

@@ -18,7 +18,25 @@ namespace {
 // the magic check rather than being mis-decoded positionally.
 constexpr std::uint32_t kMagic = 0x35524F53;  // "SOR5"
 
-void EncodeGeo(const GeoPoint& p, ByteWriter& w) {
+// Counts what a ByteWriter would write, so EncodeFrame can size its buffer
+// before it encodes the body into it.
+struct ByteCounter {
+  std::size_t n = 0;
+  void u8(std::uint8_t) { ++n; }
+  void boolean(bool) { ++n; }
+  void f64(double) { n += 8; }
+  void varint(std::uint64_t v) {
+    for (++n; v >= 0x80; v >>= 7) ++n;
+  }
+  void svarint(std::int64_t v) { varint(ZigZag(v)); }
+  void str(std::string_view s) {
+    varint(s.size());
+    n += s.size();
+  }
+};
+
+template <typename W>
+void EncodeGeo(const GeoPoint& p, W& w) {
   w.f64(p.lat_deg);
   w.f64(p.lon_deg);
   w.f64(p.alt_m);
@@ -32,7 +50,8 @@ GeoPoint DecodeGeo(ByteReader& r) {
   return p;
 }
 
-void EncodeTime(SimTime t, ByteWriter& w) { w.svarint(t.ms); }
+template <typename W>
+void EncodeTime(SimTime t, W& w) { w.svarint(t.ms); }
 SimTime DecodeTime(ByteReader& r) { return SimTime{r.svarint()}; }
 
 // A field narrower than its wire integer: out of its range, the decode
@@ -43,9 +62,8 @@ T Narrow(Wire v, ByteReader& r) {
   return static_cast<T>(v);
 }
 
-}  // namespace
-
-void EncodeReadingTuple(const ReadingTuple& t, ByteWriter& w) {
+template <typename W>
+void EncodeTuple(const ReadingTuple& t, W& w) {
   w.u8(static_cast<std::uint8_t>(t.kind));
   EncodeTime(t.t, w);
   w.svarint(t.dt.ms);
@@ -54,8 +72,6 @@ void EncodeReadingTuple(const ReadingTuple& t, ByteWriter& w) {
   w.varint(t.locations.size());
   for (const GeoPoint& p : t.locations) EncodeGeo(p, w);
 }
-
-namespace {
 
 // Decode one tuple into `t`, overwriting every field and reusing the
 // capacity of its vectors.
@@ -87,6 +103,10 @@ void DecodeReadingTupleInto(ByteReader& r, ReadingTuple& t) {
 
 }  // namespace
 
+void EncodeReadingTuple(const ReadingTuple& t, ByteWriter& w) {
+  EncodeTuple(t, w);
+}
+
 ReadingTuple DecodeReadingTuple(ByteReader& r) {
   ReadingTuple t;
   DecodeReadingTupleInto(r, t);
@@ -110,36 +130,11 @@ Status DecodeUploadBody(std::span<const std::uint8_t> body,
   return r.finish();
 }
 
+static_assert(std::variant_size_v<Message> ==
+              static_cast<std::size_t>(MessageType::kThrottleReply));
+
 MessageType TypeOf(const Message& m) {
-  struct Visitor {
-    MessageType operator()(const ParticipationRequest&) const {
-      return MessageType::kParticipationRequest;
-    }
-    MessageType operator()(const ParticipationReply&) const {
-      return MessageType::kParticipationReply;
-    }
-    MessageType operator()(const ScheduleDistribution&) const {
-      return MessageType::kScheduleDistribution;
-    }
-    MessageType operator()(const SensedDataUpload&) const {
-      return MessageType::kSensedDataUpload;
-    }
-    MessageType operator()(const LeaveNotification&) const {
-      return MessageType::kLeaveNotification;
-    }
-    MessageType operator()(const Ping&) const { return MessageType::kPing; }
-    MessageType operator()(const PingReply&) const {
-      return MessageType::kPingReply;
-    }
-    MessageType operator()(const Ack&) const { return MessageType::kAck; }
-    MessageType operator()(const ErrorReply&) const {
-      return MessageType::kErrorReply;
-    }
-    MessageType operator()(const ThrottleReply&) const {
-      return MessageType::kThrottleReply;
-    }
-  };
-  return std::visit(Visitor{}, m);
+  return static_cast<MessageType>(m.index() + 1);
 }
 
 const char* to_string(MessageType t) {
@@ -158,9 +153,12 @@ const char* to_string(MessageType t) {
   return "unknown";
 }
 
-void EncodeBody(const Message& m, ByteWriter& w) {
+namespace {
+
+template <typename W>
+void EncodeBodyTo(const Message& m, W& w) {
   struct Visitor {
-    ByteWriter& w;
+    W& w;
     void operator()(const ParticipationRequest& r) const {
       w.varint(r.user.value());
       w.str(r.token.value);
@@ -198,7 +196,7 @@ void EncodeBody(const Message& m, ByteWriter& w) {
       w.varint(u.user.value());
       w.varint(u.seq);
       w.varint(u.batches.size());
-      for (const ReadingTuple& b : u.batches) EncodeReadingTuple(b, w);
+      for (const ReadingTuple& b : u.batches) EncodeTuple(b, w);
     }
     void operator()(const LeaveNotification& l) const {
       w.varint(l.task.value());
@@ -228,6 +226,10 @@ void EncodeBody(const Message& m, ByteWriter& w) {
   };
   std::visit(Visitor{w}, m);
 }
+
+}  // namespace
+
+void EncodeBody(const Message& m, ByteWriter& w) { EncodeBodyTo(m, w); }
 
 Result<Message> DecodeBody(MessageType type,
                            std::span<const std::uint8_t> body) {
@@ -339,14 +341,21 @@ Result<Message> DecodeBody(MessageType type,
 }
 
 Bytes EncodeFrame(const Message& m) {
-  ByteWriter body;
-  EncodeBody(m, body);
+  // Size the frame first, then write the body straight into it: one
+  // allocation, and the body bytes are written once.
+  ByteCounter body;
+  EncodeBodyTo(m, body);
+  ByteCounter length;
+  length.varint(body.n);
+  const std::size_t size = 4 + 1 + length.n + body.n + 4;
 
-  ByteWriter frame;
+  ByteWriter frame(size);
   frame.u32_fixed(kMagic);
   frame.u8(static_cast<std::uint8_t>(TypeOf(m)));
-  frame.blob(body.bytes());
+  frame.varint(body.n);
+  EncodeBodyTo(m, frame);
   frame.u32_fixed(Crc32(frame.bytes()));
+  assert(frame.size() == size);
   return frame.take();
 }
 

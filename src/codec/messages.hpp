@@ -155,6 +155,7 @@ struct ThrottleReply {
   friend bool operator==(const ThrottleReply&, const ThrottleReply&) = default;
 };
 
+// Alternatives in MessageType order: TypeOf is the index plus one.
 using Message =
     std::variant<ParticipationRequest, ParticipationReply,
                  ScheduleDistribution, SensedDataUpload, LeaveNotification,

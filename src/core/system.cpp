@@ -70,7 +70,7 @@ void System::ApplyNodeEvents() {
   for (std::size_t k = 0; k < frontends_.size(); ++k) {
     phone::MobileFrontend& phone = *frontends_[k];
     ChurnContext::PhoneState& st = churn_->phones[k];
-    const std::string endpoint = phone.EndpointName();
+    const std::string& endpoint = phone.EndpointName();
     switch (st.phase) {
       case ChurnContext::Phase::kUp: {
         const net::NodeEvent ev = faults.DecideNodeEvent(endpoint, now);

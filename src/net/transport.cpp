@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "codec/frame_stream.hpp"
+
 namespace sor::net {
 
 namespace {
@@ -26,37 +28,24 @@ void LoopbackNetwork::BindStreamCells() {
   stream_.bytes_out = &registry_->counter("transport.bytes_out");
   stream_.frames_in = &registry_->counter("transport.frames_in");
   stream_.frames_out = &registry_->counter("transport.frames_out");
-  stream_.frame_errors = &registry_->counter("transport.frame_errors");
-  // Daemon-only counters, registered here too (at zero) so every metrics
-  // export carries the full transport family under one naming scheme.
+  // Counters only the socket and pipe transports move, registered here too
+  // (at zero) so every metrics export carries the full transport family
+  // under one naming scheme.
+  (void)registry_->counter("transport.frame_errors");
   (void)registry_->counter("transport.connections");
   (void)registry_->counter("transport.accept_timeouts");
   (void)registry_->counter("transport.read_timeouts");
   (void)registry_->counter("transport.write_timeouts");
 }
 
-bool LoopbackNetwork::RoundTripFrame(Bytes& frame) {
-  // Serialize onto the "wire" exactly as a socket write would (length
-  // prefix + payload + CRC trailer), then read it back through the shared
-  // incremental reader. Lossless for any payload, so simulation behaviour
-  // is untouched; what it buys is that the loopback and socket paths
-  // exercise the SAME framing code, and that byte counters mean
-  // bytes-on-the-wire in both.
-  wire_buf_.clear();
-  codec::AppendFrame(wire_buf_, frame);
-  stream_.bytes_out->Inc(wire_buf_.size());
+void LoopbackNetwork::CountStreamLeg(std::size_t frame_size) {
+  // What one framed record of this frame would put on a socket, written by
+  // the sender and read by the receiver.
+  const std::uint64_t record = frame_size + codec::kFrameOverhead;
+  stream_.bytes_out->Inc(record);
   stream_.frames_out->Inc();
-  frame_reader_.Reset();
-  frame_reader_.Feed(wire_buf_);
-  Bytes payload;
-  if (frame_reader_.Pop(&payload) != codec::FrameStreamReader::Next::kFrame) {
-    stream_.frame_errors->Inc();
-    return false;
-  }
-  stream_.bytes_in->Inc(wire_buf_.size());
+  stream_.bytes_in->Inc(record);
   stream_.frames_in->Inc();
-  frame = std::move(payload);
-  return true;
 }
 
 void LoopbackNetwork::Register(const std::string& name, Endpoint* endpoint) {
@@ -183,9 +172,10 @@ void LoopbackNetwork::MergeEpoch() {
     depth += slot.size();
     const std::string& from = epoch_.names[rank];
     for (EpochEntry& entry : slot) {
-      Result<Message> outcome =
-          Deliver(from, entry.to, std::move(entry.frame), entry.type);
-      if (entry.done) entry.done(std::move(outcome));
+      Result<Message> outcome = Deliver(from, entry.to,
+                                        std::move(entry.frame),
+                                        TypeOf(entry.sent));
+      if (entry.done) entry.done(std::move(outcome), std::move(entry.sent));
     }
     slot.clear();
   }
@@ -204,21 +194,22 @@ void LoopbackNetwork::EndEpoch() {
 }
 
 void LoopbackNetwork::SendAsync(const std::string& from, const std::string& to,
-                                const Message& m, SendCallback done) {
+                                Message m, SendCallback done) {
   if (epoch_.active && !epoch_.merging) {
     if (auto r = epoch_.rank_of.find(from); r != epoch_.rank_of.end()) {
       // Phase A: encode on the sender's shard (the only CPU this path
       // spends), park the frame, return immediately. Only the owning shard
       // touches outbox[rank] until the barrier.
+      Bytes frame = EncodeFrame(m);
       epoch_.outbox[r->second].push_back(
-          EpochEntry{to, EncodeFrame(m), TypeOf(m), std::move(done)});
+          EpochEntry{to, std::move(frame), std::move(m), std::move(done)});
       return;
     }
   }
   // No epoch, unranked sender, or nested send from inside the merge pass:
   // synchronous semantics, callback inline.
   Result<Message> outcome = Send(from, to, m);
-  if (done) done(std::move(outcome));
+  if (done) done(std::move(outcome), std::move(m));
 }
 
 Result<Message> LoopbackNetwork::Send(const std::string& from,
@@ -240,14 +231,11 @@ Result<Message> LoopbackNetwork::Deliver(const std::string& from,
   LinkCells& link = Cells(from, to);
   link.bytes_sent->Inc(frame.size());
 
-  // Request leg crosses the shared stream framing BEFORE fault injection:
-  // the clean frame is framed and re-validated (the socket path's exact
-  // codec); corruption below then mangles the SOR5 envelope, as a flipped
-  // byte inside a validated record would.
-  if (!RoundTripFrame(frame)) {
-    return Error{Errc::kInternal,
-                 "loopback stream framing failed: " + frame_reader_.error()};
-  }
+  // The request record is counted BEFORE fault injection, as the socket
+  // path counts a record it framed and validated; corruption below then
+  // mangles the SOR5 envelope, as a flipped byte inside a validated record
+  // would.
+  CountStreamLeg(frame.size());
 
   const SimTime now = clock_ != nullptr ? clock_->now() : SimTime{};
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
@@ -306,11 +294,8 @@ Result<Message> LoopbackNetwork::Deliver(const std::string& from,
     response = it->second->HandleFrame(frame);
   }
 
-  // Response leg: same framing round trip on the handler's clean reply.
-  if (!RoundTripFrame(response)) {
-    return Error{Errc::kInternal,
-                 "loopback stream framing failed: " + frame_reader_.error()};
-  }
+  // The response record is counted on the handler's clean reply.
+  CountStreamLeg(response.size());
 
   // --- response leg --------------------------------------------------------
   const FaultDecision resp =

@@ -8,16 +8,21 @@
 // "transmits" it (optionally injecting faults), and hands the raw frame to
 // the receiver, which decodes, dispatches, and returns a response frame.
 //
-// Everything crosses this boundary as bytes — no object sneaks through —
+// Everything crosses this boundary as bytes — no object reaches the
+// receiver; SendAsync hands the sent message back only to its own sender —
 // so codec bugs, truncation, and corruption behave exactly as they would
-// on a real wire. Faults (see net/fault_injector.hpp) can hit both legs of
+// on a real wire. Each message is encoded once and CRC-checked once per
+// leg. Faults (see net/fault_injector.hpp) can hit both legs of
 // the round trip: a request lost before the handler runs, or a response
 // lost *after* it ran — the at-least-once case every endpoint must survive.
 //
 // Observability: all delivery accounting lives in an obs::MetricsRegistry
 // (one labeled counter family per link); TransportStats is a *view* over
-// those counters, kept for ergonomic assertions. An optional obs::Tracer
-// records a typed event per delivery outcome on the sender's stream.
+// those counters, kept for ergonomic assertions. In process the shared
+// transport.* family is computed from frame sizes (see StreamCells), and
+// transport.frame_errors moves only on sockets and pipes. An optional
+// obs::Tracer records a typed event per delivery outcome on the sender's
+// stream.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "codec/frame_stream.hpp"
 #include "codec/messages.hpp"
 #include "common/result.hpp"
 #include "common/sim_time.hpp"
@@ -70,8 +74,10 @@ struct TransportStats {
 };
 
 // Completion of one asynchronous send: the decoded response, or the error
-// the sender would have seen from a synchronous Send().
-using SendCallback = std::function<void(Result<Message>)>;
+// the sender would have seen from a synchronous Send(), and the message
+// that was sent, handed back so a sender can keep it for a retry without
+// copying it.
+using SendCallback = std::function<void(Result<Message> reply, Message sent)>;
 
 class LoopbackNetwork {
  public:
@@ -98,8 +104,8 @@ class LoopbackNetwork {
   // NOW (pure per-message CPU, overlapped across shards) and appended to
   // that sender's outbox; delivery, fault decisions, and the callback all
   // happen later, inside MergeEpoch(), in deterministic rank order.
-  void SendAsync(const std::string& from, const std::string& to,
-                 const Message& m, SendCallback done);
+  void SendAsync(const std::string& from, const std::string& to, Message m,
+                 SendCallback done);
 
   // Aggregate view over every link, summed from the registry's counters.
   [[nodiscard]] TransportStats stats() const;
@@ -179,8 +185,8 @@ class LoopbackNetwork {
   // One message waiting in an epoch outbox for the merge pass.
   struct EpochEntry {
     std::string to;
-    Bytes frame;       // encoded in phase A, on the sender's shard
-    MessageType type;  // for the kMsgSend trace emit
+    Bytes frame;   // encoded in phase A, on the sender's shard
+    Message sent;  // handed back to `done`
     SendCallback done;
   };
 
@@ -188,23 +194,22 @@ class LoopbackNetwork {
   static TransportStats ReadCells(const LinkCells& c);
 
   // The transport.* counter family shared (by name) with the socket
-  // transports in src/transport: every loopback delivery is framed through
-  // codec::FrameStream exactly like a socket write, so byte/frame counts
-  // mean the same thing in-process and out-of-process. The family is
-  // registered whole (including the daemon-only connection/timeout
-  // counters, which stay zero here) so `sor metrics` always exports the
-  // complete transport surface.
+  // transports in src/transport. A loopback delivery crosses no byte
+  // stream, so each leg counts the one record codec::AppendFrame would
+  // write for its frame (frame size + codec::kFrameOverhead bytes), and
+  // byte/frame counts mean the same thing in-process and out-of-process.
+  // transport.frame_errors and the daemon-only connection/timeout counters
+  // move only on sockets and pipes; they are registered here (at zero) so
+  // `sor metrics` always exports the complete transport surface.
   struct StreamCells {
     obs::Counter* bytes_in = nullptr;
     obs::Counter* bytes_out = nullptr;
     obs::Counter* frames_in = nullptr;
     obs::Counter* frames_out = nullptr;
-    obs::Counter* frame_errors = nullptr;
   };
   void BindStreamCells();
-  // Frame → stream record → validated frame. Lossless by construction; a
-  // failure means a framing bug, counted and surfaced as kInternal.
-  [[nodiscard]] bool RoundTripFrame(Bytes& frame);
+  // Count one leg's record as both written and read.
+  void CountStreamLeg(std::size_t frame_size);
 
   // The post-encode half of Send(): fault decisions, handler invocation,
   // response leg, accounting. Must run from a deterministic single-writer
@@ -235,8 +240,6 @@ class LoopbackNetwork {
   obs::Gauge* outbox_depth_ = nullptr;    // messages merged, last epoch
   obs::Counter* epoch_merges_ = nullptr;  // MergeEpoch calls
   StreamCells stream_;
-  codec::FrameStreamReader frame_reader_;  // reused across deliveries
-  Bytes wire_buf_;                         // framed-record scratch
 };
 
 }  // namespace sor::net

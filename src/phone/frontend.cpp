@@ -12,7 +12,11 @@ MobileFrontend::MobileFrontend(FrontendConfig config,
                                net::LoopbackNetwork& network,
                                sensors::SensorEnvironment& env,
                                const SimClock& clock)
-    : config_(std::move(config)), network_(network), env_(env), clock_(clock),
+    : config_(std::move(config)),
+      endpoint_name_("phone:" + config_.token.value),
+      network_(network),
+      env_(env),
+      clock_(clock),
       retry_rng_(config_.retry_seed) {
   if (config_.has_sensordrone) bluetooth_.Pair();
   // Register a Provider for every supported sensor (§II-A: "Currently, SOR
@@ -202,16 +206,18 @@ SimDuration MobileFrontend::Backoff(int attempts) {
 void MobileFrontend::SendUploadAsync(TaskId task, std::uint64_t seq,
                                      std::vector<ReadingTuple> batches,
                                      int attempts, bool fresh) {
-  SensedDataUpload up{task, config_.user_id, batches, seq};
-  // The callback keeps the batch: an upload is settled only when the Ack
+  // The batch moves into the message, and the callback gets the message
+  // back and keeps the batch: an upload is settled only when the Ack
   // echoes our seq; anything else (error, wrong type, stale ack) keeps the
   // data phone-side for a retry. A ThrottleReply echoing our seq is the
   // server refusing ADMISSION — the data never landed, but the link works;
   // honor the hint instead of treating it as a loss.
   network_.SendAsync(
-      EndpointName(), server_, up,
-      [this, task, seq, attempts, fresh,
-       batches = std::move(batches)](Result<Message> r) mutable {
+      EndpointName(), server_,
+      SensedDataUpload{task, config_.user_id, std::move(batches), seq},
+      [this, task, seq, attempts, fresh](Result<Message> r, Message sent) {
+        std::vector<ReadingTuple>& kept =
+            std::get<SensedDataUpload>(sent).batches;
         if (r.ok()) {
           if (const auto* ack = std::get_if<Ack>(&r.value());
               ack != nullptr && ack->seq == seq) {
@@ -230,7 +236,7 @@ void MobileFrontend::SendUploadAsync(TaskId task, std::uint64_t seq,
             // retry budget (the server asked us to wait; we did nothing
             // wrong).
             NoteThrottle(task, seq, throttle->retry_after);
-            EnqueueUploadAt(task, seq, std::move(batches), attempts,
+            EnqueueUploadAt(task, seq, std::move(kept), attempts,
                             clock_.now() + throttle->retry_after);
             return;
           }
@@ -242,7 +248,7 @@ void MobileFrontend::SendUploadAsync(TaskId task, std::uint64_t seq,
         // A fresh batch always earns its first retry; a failed re-send of a
         // QUEUED upload spends campaign budget first.
         if (fresh || SpendRetryBudget(task)) {
-          EnqueueUpload(task, seq, std::move(batches), attempts + 1);
+          EnqueueUpload(task, seq, std::move(kept), attempts + 1);
         } else {
           // Per-campaign retry budget spent: give the upload up for good
           // rather than let one dead campaign churn the queue forever.
@@ -325,16 +331,18 @@ void MobileFrontend::Tick() {
   if (!pending_leaves_.empty()) {
     std::vector<LeaveNotification> leaves;
     leaves.swap(pending_leaves_);
-    for (const LeaveNotification& note : leaves) {
+    for (LeaveNotification& note : leaves) {
       network_.SendAsync(
-          EndpointName(), server_, note, [this, note](Result<Message> reply) {
+          EndpointName(), server_, std::move(note),
+          [this](Result<Message> reply, Message sent) {
+            auto& leave = std::get<LeaveNotification>(sent);
             if (reply.ok()) {
               ++stats_.leaves_retried;
               if (obs_.leaves_retried != nullptr) obs_.leaves_retried->Inc();
-              Trace(obs::EventKind::kLeaveAcked, note.task.value());
+              Trace(obs::EventKind::kLeaveAcked, leave.task.value());
             } else {
               // Still unheard; keep retrying (OnLeave is idempotent).
-              pending_leaves_.push_back(note);
+              pending_leaves_.push_back(leave);
             }
           });
     }

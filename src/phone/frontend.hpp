@@ -76,8 +76,8 @@ class MobileFrontend final : public net::Endpoint {
   MobileFrontend(const MobileFrontend&) = delete;
   MobileFrontend& operator=(const MobileFrontend&) = delete;
 
-  [[nodiscard]] std::string EndpointName() const {
-    return "phone:" + config_.token.value;
+  [[nodiscard]] const std::string& EndpointName() const {
+    return endpoint_name_;
   }
 
   [[nodiscard]] LocalPreferenceManager& preferences() { return prefs_; }
@@ -205,6 +205,7 @@ class MobileFrontend final : public net::Endpoint {
              std::uint64_t c = 0);
 
   FrontendConfig config_;
+  std::string endpoint_name_;  // "phone:" + token, built once
   net::LoopbackNetwork& network_;
   sensors::SensorEnvironment& env_;
   const SimClock& clock_;

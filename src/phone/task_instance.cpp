@@ -232,11 +232,16 @@ script::Value TaskInstance::Acquire(const Execution& e, SensorKind kind,
   }
   ++stats_.acquisitions;
 
+  const std::size_t n = readings.value().size();
   ReadingTuple tuple;
   tuple.kind = kind;
   tuple.t = e.t;
   tuple.dt = window;
+  tuple.values.reserve(n);
+  if (n > 0 && readings.value().front().location.has_value())
+    tuple.locations.reserve(n);
   script::List values;
+  values.reserve(n);
   for (const sensors::Reading& r : readings.value()) {
     tuple.values.push_back(r.value);
     values.emplace_back(r.value);

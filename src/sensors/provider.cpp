@@ -1,7 +1,7 @@
 #include "sensors/provider.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <iterator>
 
 namespace sor::sensors {
 
@@ -34,7 +34,8 @@ Result<std::vector<Reading>> BufferedProvider::Acquire(
   // only after it completes: a request for k samples within Δt must
   // produce k independent readings ("multiple readings within [t, t+Δt] to
   // ensure high sensing quality", §IV-A), not one reading echoed k times.
-  std::vector<Reading> fresh_batch;
+  // They wait, in time order, past the `shared` readings lookups see.
+  const std::size_t shared = buffer_.size();
 
   // Desired sample times: evenly spread over [t, t+Δt].
   for (int i = 0; i < req.samples; ++i) {
@@ -48,7 +49,9 @@ Result<std::vector<Reading>> BufferedProvider::Acquire(
     const SimTime lo = want - freshness_;
     const SimTime hi = want + freshness_;
     const Reading* hit = nullptr;
-    for (auto it = buffer_.rbegin(); it != buffer_.rend(); ++it) {
+    for (auto it = std::make_reverse_iterator(
+             buffer_.begin() + static_cast<std::ptrdiff_t>(shared));
+         it != buffer_.rend(); ++it) {
       if (it->time < lo) break;  // buffer ordered by time: nothing older fits
       if (it->time <= hi) {
         hit = &*it;
@@ -64,21 +67,24 @@ Result<std::vector<Reading>> BufferedProvider::Acquire(
     Result<Reading> fresh = ReadPhysical(want);
     if (!fresh.ok()) {
       ++stats_.failures;
+      buffer_.resize(shared);
       return fresh.error();
     }
     ++stats_.physical_acquisitions;
-    fresh_batch.push_back(fresh.value());
+    buffer_.push_back(fresh.value());
     out.push_back(std::move(fresh).value());
   }
 
   // Merge this acquisition's readings into the shared buffer, keeping it
   // ordered (physical reads interleave in time when multiple tasks request
-  // overlapping windows).
-  for (const Reading& r : fresh_batch) {
-    const auto pos = std::upper_bound(
-        buffer_.begin(), buffer_.end(), r,
+  // overlapping windows). The merge is stable, so a reading lands after
+  // every buffered one with the same time.
+  const auto middle = buffer_.begin() + static_cast<std::ptrdiff_t>(shared);
+  if (middle != buffer_.begin() && middle != buffer_.end() &&
+      middle->time < std::prev(middle)->time) {
+    std::inplace_merge(
+        buffer_.begin(), middle, buffer_.end(),
         [](const Reading& a, const Reading& b) { return a.time < b.time; });
-    buffer_.insert(pos, r);
   }
   return out;
 }

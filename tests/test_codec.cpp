@@ -622,6 +622,22 @@ TEST(Messages, TypeNames) {
   EXPECT_STREQ(to_string(MessageType::kThrottleReply), "throttle_reply");
 }
 
+TEST(Messages, TypeOfIsTheWireCode) {
+  // TypeOf reads the type off the variant's index, so the alternatives must
+  // stay in wire-code order.
+  EXPECT_EQ(TypeOf(ParticipationRequest{}), MessageType::kParticipationRequest);
+  EXPECT_EQ(TypeOf(ParticipationReply{}), MessageType::kParticipationReply);
+  EXPECT_EQ(TypeOf(ScheduleDistribution{}),
+            MessageType::kScheduleDistribution);
+  EXPECT_EQ(TypeOf(SensedDataUpload{}), MessageType::kSensedDataUpload);
+  EXPECT_EQ(TypeOf(LeaveNotification{}), MessageType::kLeaveNotification);
+  EXPECT_EQ(TypeOf(Ping{}), MessageType::kPing);
+  EXPECT_EQ(TypeOf(PingReply{}), MessageType::kPingReply);
+  EXPECT_EQ(TypeOf(Ack{}), MessageType::kAck);
+  EXPECT_EQ(TypeOf(ErrorReply{}), MessageType::kErrorReply);
+  EXPECT_EQ(TypeOf(ThrottleReply{}), MessageType::kThrottleReply);
+}
+
 TEST(Messages, LegacySor3FrameRejectedByMagic) {
   // An SOR3 frame differs in layout (no incarnation in
   // participation_request), so it must be refused outright, not decoded

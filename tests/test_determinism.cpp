@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/fleet.hpp"
 #include "core/system.hpp"
 
 namespace sor::core {
@@ -312,6 +313,84 @@ TEST(Determinism, DeferredSetupReschedulesIdenticalAcrossThreadCounts) {
   for (int threads : {2, 8}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     EXPECT_EQ(RunFingerprint(scenario, config, threads), serial);
+  }
+}
+
+// `sor trace --chaos --fingerprint --scenario S --seed N` run through the
+// library: the CLI's campaign and its canned chaos wire (tools/sor_cli.cpp).
+std::uint64_t ChaosTraceFingerprint(const world::Scenario& scenario,
+                                    std::uint64_t seed, int threads) {
+  FieldTestConfig config;
+  config.budget_per_user = 40;
+  config.seed = seed;
+  config.threads = threads;
+  config.trace = true;
+  net::FaultRule lossy;
+  lossy.drop = 0.25;
+  lossy.corrupt = 0.15;
+  lossy.duplicate = 0.15;
+  net::FaultRule partition;
+  partition.partition = SimInterval{SimTime{600'000}, SimTime{660'000}};
+  config.chaos_rules = {lossy, partition};
+  config.chaos_seed = seed * 31 + 7;
+  System system;
+  Result<FieldTestResult> run = system.RunFieldTest(scenario, config);
+  EXPECT_TRUE(run.ok()) << run.error().str();
+  return system.tracer().Fingerprint();
+}
+
+TEST(Determinism, ChaosTraceFingerprintsMatchPinnedValues) {
+  // Thread invariance alone passes a change that shifts the output the same
+  // way at every thread count. These values pin the output itself: a change
+  // that claims byte-identical output must leave them as they are, and one
+  // that changes the output on purpose updates them and says why.
+  struct Pin {
+    const char* scenario;
+    std::uint64_t seed;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {"coffee", 1, 0xe5dcb22eb6841ed4}, {"coffee", 2, 0x7299b81c942c8059},
+      {"coffee", 3, 0x59dfc57e2fb5e7b8}, {"trails", 1, 0x2a47dad918537efa},
+      {"trails", 2, 0xbcd23fb23899fc5c}, {"trails", 3, 0x598d2d7934f1f8cc},
+  };
+  for (const Pin& pin : pins) {
+    const world::Scenario scenario =
+        std::string(pin.scenario) == "coffee"
+            ? world::MakeCoffeeShopScenario()
+            : world::MakeHikingTrailScenario();
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(pin.scenario) + " seed " +
+                   std::to_string(pin.seed) + " threads " +
+                   std::to_string(threads));
+      EXPECT_EQ(ChaosTraceFingerprint(scenario, pin.seed, threads),
+                pin.fingerprint);
+    }
+  }
+}
+
+TEST(Determinism, FieldTestRankingsMatchPinnedText) {
+  // `sor fieldtest --scenario S --rankings-out -`: the default campaign's
+  // rankings, pinned like the fingerprints above.
+  FieldTestConfig config;
+  config.budget_per_user = 40;
+  config.sigma_s = 60.0;
+  config.seed = 42;
+  const std::pair<world::Scenario, const char*> cases[] = {
+      {world::MakeCoffeeShopScenario(),
+       "David: Starbucks > B&N Cafe > Tim Hortons\n"
+       "Emma: B&N Cafe > Tim Hortons > Starbucks\n"},
+      {world::MakeHikingTrailScenario(),
+       "Alice: Cliff Trail > Long Trail > Green Lake Trail\n"
+       "Bob: Long Trail > Cliff Trail > Green Lake Trail\n"
+       "Chris: Green Lake Trail > Long Trail > Cliff Trail\n"},
+  };
+  for (const auto& [scenario, pinned] : cases) {
+    System system;
+    Result<FieldTestResult> run = system.RunFieldTest(scenario, config);
+    ASSERT_TRUE(run.ok()) << run.error().str();
+    EXPECT_EQ(RenderRankingsText(run.value().matrix, run.value().rankings),
+              pinned);
   }
 }
 

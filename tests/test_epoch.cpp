@@ -89,11 +89,12 @@ EpochOutcome RunShuffledEpoch(const std::vector<int>& arrival, bool chaos) {
     const std::uint64_t task = up.task.value();
     const std::uint64_t seq = up.seq;
     network.SendAsync(SenderName(sender), "server", up,
-                      [&out, task, seq](Result<Message> r) {
+                      [&out, task, seq](Result<Message> r, Message sent) {
                         // Log completion order; under chaos the outcome may
                         // be an error, but the callback still fires in
-                        // delivery order.
+                        // delivery order, with the message it sent.
                         out.completed.emplace_back(task, seq);
+                        EXPECT_EQ(std::get<SensedDataUpload>(sent).seq, seq);
                         if (r.ok()) {
                           const auto* ack = std::get_if<Ack>(&r.value());
                           ASSERT_NE(ack, nullptr);
@@ -173,8 +174,10 @@ TEST(Epoch, SendAsyncOutsideEpochIsSynchronous) {
   up.task = TaskId{1};
   up.seq = 42;
   bool completed = false;
-  network.SendAsync("phone:x", "server", up, [&](Result<Message> r) {
+  network.SendAsync("phone:x", "server", up, [&](Result<Message> r,
+                                                 Message sent) {
     ASSERT_TRUE(r.ok());
+    EXPECT_EQ(sent, Message{up});  // handed back to the sender intact
     completed = true;
   });
   EXPECT_TRUE(completed);  // inline, not deferred
@@ -182,7 +185,7 @@ TEST(Epoch, SendAsyncOutsideEpochIsSynchronous) {
 
   network.BeginEpoch({"ranked"});
   completed = false;
-  network.SendAsync("unranked", "server", up, [&](Result<Message> r) {
+  network.SendAsync("unranked", "server", up, [&](Result<Message> r, Message) {
     ASSERT_TRUE(r.ok());
     completed = true;
   });

@@ -105,6 +105,29 @@ TEST(Transport, StatsAccumulate) {
   EXPECT_GT(net.stats().bytes_received, net.stats().delivered);
 }
 
+TEST(Transport, StreamCountersCountOneRecordPerLeg) {
+  // The shared transport.* family means bytes on a socket: each leg of a
+  // loopback delivery counts the record the stream codec would write for
+  // its frame (length prefix + frame + CRC trailer), as written and read.
+  // A corrupted request still crossed the stream as a valid record.
+  LoopbackNetwork net;
+  EchoEndpoint echo;
+  net.Register("echo", &echo);
+  for (int i = 0; i < 5; ++i)
+    ASSERT_TRUE(net.Send("echo", Ping{PhoneId{1}}).ok());
+  net.faults().corrupt_next = 1;
+  EXPECT_FALSE(net.Send("echo", Ack{}).ok());
+  const TransportStats s = net.stats();
+  obs::MetricsRegistry& m = net.metrics();
+  EXPECT_EQ(m.counter("transport.frames_out").value(), 12u);
+  EXPECT_EQ(m.counter("transport.frames_in").value(), 12u);
+  EXPECT_EQ(m.counter("transport.bytes_out").value(),
+            s.bytes_sent + s.bytes_received + 12 * 8);
+  EXPECT_EQ(m.counter("transport.bytes_in").value(),
+            m.counter("transport.bytes_out").value());
+  EXPECT_EQ(m.counter("transport.frame_errors").value(), 0u);
+}
+
 TEST(Transport, CorruptedRequestNotCountedDelivered) {
   // A send is accounted as corrupted XOR delivered — never both.
   LoopbackNetwork net;

@@ -20,8 +20,10 @@
 
 #include "codec/barcode.hpp"
 #include "codec/bytes.hpp"
+#include "codec/crc32.hpp"
 #include "common/features.hpp"
 #include "core/fleet.hpp"
+#include "core/system.hpp"
 #include "db/storage_faults.hpp"
 #include "obs/metrics.hpp"
 #include "phone/frontend.hpp"
@@ -800,6 +802,75 @@ TEST(Perf, IndexedScanVisitationAtLeast5xFasterThanBaseline) {
   }
   EXPECT_LT(best_ns, kBaselineNs / 5.0)
       << "indexed equality visitation regressed below the 5x contract";
+}
+
+TEST(Perf, IndexedScanVisitationCopiesNoRowsAndScansNoTable) {
+  // The operation-count side of the 5x wall-clock gate above, which a
+  // loaded host can fail: on the same shape, visitation reaches exactly
+  // the matching rows through the index, copies none of them and scans no
+  // table, while the materializing baseline copies every match.
+  db::Schema schema;
+  schema.table_name = "bench";
+  schema.columns = {{"id", db::ColumnType::kInt64},
+                    {"app", db::ColumnType::kInt64},
+                    {"status", db::ColumnType::kText},
+                    {"value", db::ColumnType::kDouble}};
+  db::Table t(schema);
+  ASSERT_TRUE(t.CreateIndex("app").ok());
+  constexpr std::int64_t kRows = 100'000;
+  constexpr std::int64_t kFanout = 16;
+  {
+    std::vector<db::Row> batch;
+    batch.reserve(kRows);
+    for (std::int64_t i = 0; i < kRows; ++i)
+      batch.push_back({db::Value(i), db::Value(i % kFanout),
+                       db::Value("running"), db::Value(1.5)});
+    ASSERT_TRUE(t.InsertBatch(std::move(batch)).ok());
+  }
+  obs::MetricsRegistry registry;
+  obs::Counter& full_scans = registry.counter("db.full_scans");
+  obs::Counter& materialized = registry.counter("db.rows_materialized");
+  t.set_full_scan_counter(&full_scans);
+  t.set_rows_materialized_counter(&materialized);
+
+  for (std::int64_t app = 0; app < kFanout; ++app) {
+    std::uint64_t visited = 0;
+    t.ForEachWhereEq("app", db::Value(app), [&](const db::Row&) {
+      ++visited;
+      return true;
+    });
+    EXPECT_EQ(visited, static_cast<std::uint64_t>(kRows / kFanout));
+  }
+  EXPECT_EQ(full_scans.value(), 0u);
+  EXPECT_EQ(materialized.value(), 0u);
+
+  EXPECT_EQ(t.FindWhereEq("app", db::Value(std::int64_t{0})).size(),
+            static_cast<std::size_t>(kRows / kFanout));
+  EXPECT_EQ(full_scans.value(), 0u);
+  EXPECT_EQ(materialized.value(), static_cast<std::uint64_t>(kRows / kFanout));
+}
+
+TEST(Perf, LoopbackHashesEachFrameOnceEachWay) {
+  // An in-process message is CRC'd once when it is encoded and once when
+  // its receiver checks it, so a campaign hashes at most twice the bytes
+  // of its requests and replies. Re-framing every frame through the socket
+  // stream codec hashed each about four times. One thread, so every
+  // encode and check is counted on this thread.
+  core::FieldTestConfig config;
+  config.budget_per_user = 40;
+  config.sigma_s = 60.0;
+  config.seed = 42;
+  config.threads = 1;
+  core::System system;
+  const std::uint64_t before = crc32_bytes_on_this_thread();
+  Result<core::FieldTestResult> run =
+      system.RunFieldTest(world::MakeHikingTrailScenario(), config);
+  const std::uint64_t hashed = crc32_bytes_on_this_thread() - before;
+  ASSERT_TRUE(run.ok()) << run.error().str();
+  const net::TransportStats& t = run.value().transport_stats;
+  const std::uint64_t wire = t.bytes_sent + t.bytes_received;
+  ASSERT_GT(wire, 0u);
+  EXPECT_LE(hashed, 2 * wire) << "hashed " << hashed << " of " << wire;
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sensors/manager.hpp"
@@ -156,6 +158,73 @@ TEST(BufferedProvider, TrimmingIsInvisibleToLaterAcquisitions) {
       EXPECT_LT(trimmed_peak,
                 static_cast<BufferedProvider&>(*kept).buffer_size())
           << to_string(kind);
+    }
+  }
+}
+
+TEST(BufferedProvider, MergesFreshReadingsLikeOneByOneInsertion) {
+  // Each physical read gets a distinct value, so which buffered reading a
+  // request reuses is visible even among readings with the same time.
+  struct CountingEnvironment final : SensorEnvironment {
+    double Sample(SensorKind, SimTime) override { return ++n; }
+    GeoPoint Position(SimTime) override { return {}; }
+    double n = 0;
+  };
+  // Reference: this acquisition's fresh readings are set apart, then each
+  // is inserted after every buffered reading no later than it.
+  struct Reference {
+    CountingEnvironment env;
+    SimDuration freshness;
+    std::deque<Reading> buffer;
+    std::vector<Reading> Acquire(const AcquireRequest& req) {
+      std::vector<Reading> out;
+      std::vector<Reading> fresh;
+      for (int i = 0; i < req.samples; ++i) {
+        const SimTime want =
+            req.samples == 1
+                ? req.t
+                : req.t + SimDuration{req.window.ms * i / (req.samples - 1)};
+        const Reading* hit = nullptr;
+        for (auto it = buffer.rbegin(); it != buffer.rend(); ++it) {
+          if (it->time < want - freshness) break;
+          if (it->time <= want + freshness) {
+            hit = &*it;
+            break;
+          }
+        }
+        if (hit == nullptr) {
+          fresh.push_back(
+              Reading{SensorKind::kLight, want, env.Sample({}, want), {}});
+        }
+        out.push_back(hit != nullptr ? *hit : fresh.back());
+      }
+      for (const Reading& r : fresh) {
+        buffer.insert(std::upper_bound(buffer.begin(), buffer.end(), r,
+                                       [](const Reading& a, const Reading& b) {
+                                         return a.time < b.time;
+                                       }),
+                      r);
+      }
+      return out;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    const SimDuration freshness{rng.uniform_int(0, 600)};
+    CountingEnvironment env;
+    BufferedProvider provider(SensorKind::kLight, env, freshness);
+    Reference reference{{}, freshness, {}};
+    for (int i = 0; i < 300; ++i) {
+      // Overlapping windows of several requests per tick interleave the
+      // fresh readings with buffered ones.
+      const AcquireRequest req{SimTime{rng.uniform_int(0, 20'000)},
+                               SimDuration{rng.uniform_int(0, 5'000)},
+                               static_cast<int>(rng.uniform_int(1, 6))};
+      Result<std::vector<Reading>> got = provider.Acquire(req);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value(), reference.Acquire(req))
+          << "seed " << seed << " request " << i;
+      ASSERT_EQ(provider.buffer_size(), reference.buffer.size());
     }
   }
 }

@@ -68,23 +68,27 @@ echo "=== stage: observability ==="
 # Determinism gate on the telemetry subsystem (docs/observability.md): the
 # exact same chaos campaign must produce byte-identical traces — compared
 # here via `sor trace --fingerprint` — at 1, 2, and 8 worker threads, for
-# several seeds. test_obs proves this in-process; this stage proves it
-# through the shipped CLI. Then micro_obs smoke-runs the overhead report.
+# several seeds and both scenarios (trails carries the GPS and
+# multi-sensor uploads). test_obs proves this in-process; this stage proves
+# it through the shipped CLI. Then micro_obs smoke-runs the overhead report.
 if [[ -x "${SOR_BIN}" ]]; then
-  for seed in 1 2 3 4 5; do
-    baseline=""
-    for threads in 1 2 8; do
-      fp="$("${SOR_BIN}" trace --chaos --seed "${seed}" \
-            --threads "${threads}" --fingerprint)"
-      if [[ -z "${baseline}" ]]; then
-        baseline="${fp}"
-      elif [[ "${fp}" != "${baseline}" ]]; then
-        echo "ci: trace fingerprint diverged (seed=${seed}" \
-             "threads=${threads}): ${fp} != ${baseline}" >&2
-        exit 1
-      fi
+  for scenario in coffee trails; do
+    for seed in 1 2 3 4 5; do
+      baseline=""
+      for threads in 1 2 8; do
+        fp="$("${SOR_BIN}" trace --scenario "${scenario}" --chaos \
+              --seed "${seed}" --threads "${threads}" --fingerprint)"
+        if [[ -z "${baseline}" ]]; then
+          baseline="${fp}"
+        elif [[ "${fp}" != "${baseline}" ]]; then
+          echo "ci: trace fingerprint diverged (scenario=${scenario}" \
+               "seed=${seed} threads=${threads}): ${fp} != ${baseline}" >&2
+          exit 1
+        fi
+      done
+      echo "ci: ${scenario} trace ${baseline} stable across threads 1/2/8" \
+           "(seed ${seed})"
     done
-    echo "ci: trace ${baseline} stable across threads 1/2/8 (seed ${seed})"
   done
   "${SOR_BIN}" trace --chaos --seed 1 --summary
 else

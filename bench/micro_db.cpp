@@ -18,8 +18,7 @@
 //                         incremental processor's "only the new rows" path
 //   * update_by_key     — copy + validate + diff-aware reindex
 //   * update_in_place   — the zero-copy fast path for non-key, non-indexed
-//                         columns (ConsumeBudget's write half, processed
-//                         flag flips)
+//                         columns (ConsumeBudget's write half)
 //   * full_scan         — the O(n) walk everything above exists to avoid,
 //                         included for scale
 //

@@ -52,6 +52,16 @@ std::int64_t ByteReader::svarint() {
   return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
+F64Run ByteReader::f64s(std::uint64_t n) {
+  if (!ok_ || n > remaining() / 8) {
+    fail();
+    return {};
+  }
+  const F64Run run(data_.subspan(pos_, static_cast<std::size_t>(n) * 8));
+  pos_ += static_cast<std::size_t>(n) * 8;
+  return run;
+}
+
 std::string ByteReader::str() {
   const std::span<const std::uint8_t> b = blob_view();
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());

@@ -35,6 +35,16 @@ using Bytes = std::vector<std::uint8_t>;
          static_cast<std::uint64_t>(v >> 63);
 }
 
+// Loads one little-endian unsigned integer; the shifts compile to one load
+// on little-endian hosts.
+template <typename T>
+[[nodiscard]] T LoadLe(const std::uint8_t* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    v |= static_cast<T>(p[i]) << (8 * i);
+  return v;
+}
+
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -70,6 +80,22 @@ class ByteWriter {
   Bytes buf_;
 };
 
+// A run of consecutive f64s inside a reader's input (ByteReader::f64s),
+// already bounds-checked as a whole; valid as long as that input is.
+class F64Run {
+ public:
+  F64Run() = default;
+  explicit F64Run(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+
+  [[nodiscard]] std::size_t size() const { return bytes_.size() / 8; }
+  [[nodiscard]] double operator[](std::size_t i) const {
+    return std::bit_cast<double>(LoadLe<std::uint64_t>(&bytes_[8 * i]));
+  }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+};
+
 // Reads sequentially from a byte span. After any failed read, ok() is false
 // and every subsequent read returns a zero value; callers check ok() once at
 // the end of a decode (monadic-style error sticking).
@@ -83,6 +109,10 @@ class ByteReader {
   [[nodiscard]] std::uint64_t varint();
   [[nodiscard]] std::int64_t svarint();
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64_fixed()); }
+  // `n` f64s with one bounds check: a run the bytes left cannot hold fails
+  // the reader, exactly as reading them one by one would, and comes back
+  // empty.
+  [[nodiscard]] F64Run f64s(std::uint64_t n);
   [[nodiscard]] std::string str();
   [[nodiscard]] Bytes blob();
   // Same as blob(), but a view into the reader's input instead of a copy;
@@ -117,9 +147,7 @@ class ByteReader {
       fail();
       return 0;
     }
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      v |= static_cast<T>(data_[pos_ + i]) << (8 * i);
+    const T v = LoadLe<T>(&data_[pos_]);
     pos_ += sizeof(T);
     return v;
   }

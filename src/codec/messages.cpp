@@ -89,16 +89,17 @@ void DecodeReadingTupleInto(ByteReader& r, ReadingTuple& t) {
   t.t = DecodeTime(r);
   t.dt = SimDuration{r.svarint()};
   // Length sanity (and no huge alloc): a count the bytes left cannot hold
-  // fails the decode instead of reading on from the wrong offset.
-  const std::uint64_t nv = r.varint();
-  if (nv > r.remaining() / 8 + 1) r.invalidate();
-  if (r.ok()) t.values.reserve(static_cast<std::size_t>(nv));
-  for (std::uint64_t i = 0; i < nv && r.ok(); ++i) t.values.push_back(r.f64());
+  // fails the decode instead of reading on from the wrong offset. Each run
+  // of doubles is bounds-checked once, not per double.
+  const F64Run values = r.f64s(r.varint());
+  t.values.resize(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) t.values[i] = values[i];
   const std::uint64_t nl = r.varint();
-  if (nl > r.remaining() / 24 + 1) r.invalidate();
-  if (r.ok()) t.locations.reserve(static_cast<std::size_t>(nl));
-  for (std::uint64_t i = 0; i < nl && r.ok(); ++i)
-    t.locations.push_back(DecodeGeo(r));
+  if (nl > r.remaining() / 24) r.invalidate();  // also keeps 3 * nl in range
+  const F64Run fixes = r.f64s(3 * nl);
+  t.locations.resize(fixes.size() / 3);
+  for (std::size_t i = 0; i < t.locations.size(); ++i)
+    t.locations[i] = {fixes[3 * i], fixes[3 * i + 1], fixes[3 * i + 2]};
 }
 
 }  // namespace

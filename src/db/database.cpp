@@ -1,5 +1,7 @@
 #include "db/database.hpp"
 
+#include <algorithm>
+
 namespace sor::db {
 
 Result<Table*> Database::CreateTable(Schema schema) {
@@ -123,23 +125,20 @@ void MakeSorSchema(Database& db) {
     (void)t->CreateIndex("user_id");
     (void)t->CreateIndex("status");
   }
-  // raw_data(raw_id PK, task_id, app_id, body BLOB, received_ms, processed,
-  //          seq) — the message handler "directly store[s] the binary
-  // message body into the database, which will be processed later by the
-  // Data Processor". `seq` is the upload sequence number; together with
-  // task_id it is the server's dedup key for retried uploads, and it is
-  // appended last so older positional column reads stay valid.
+  // raw_data(raw_id PK, task_id, app_id, body BLOB, received_ms, seq) — the
+  // message handler "directly store[s] the binary message body into the
+  // database, which will be processed later by the Data Processor". `seq`
+  // is the upload sequence number; together with task_id it is the
+  // server's dedup key for retried uploads. Rows are written once: the
+  // Data Processor marks nothing here, it keeps a per-app raw_id cursor
+  // (persisted in processor_state) as its processed watermark.
   {
     Schema s;
     s.table_name = tables::kRawData;
     s.columns = {{"raw_id", CT::kInt64},     {"task_id", CT::kInt64},
                  {"app_id", CT::kInt64},     {"body", CT::kBlob},
-                 {"received_ms", CT::kInt64}, {"processed", CT::kBool},
-                 {"seq", CT::kInt64}};
+                 {"received_ms", CT::kInt64}, {"seq", CT::kInt64}};
     Table* t = db.CreateTable(std::move(s)).value();
-    // No index on `processed`: the Data Processor tracks unprocessed work
-    // with per-app watermarks (see DataProcessor::NoteUploadStored), and an
-    // index here would forbid the in-place flip of the flag.
     (void)t->CreateIndex("app_id");
     (void)t->CreateIndex("task_id");
   }
@@ -182,6 +181,20 @@ void MakeSorSchema(Database& db) {
                  {"state", CT::kBlob}};
     (void)db.CreateTable(std::move(s)).value();
   }
+}
+
+Status CheckSorSchema(const Database& db) {
+  Database want;
+  MakeSorSchema(want);
+  std::vector<std::string> names = want.table_names();
+  std::sort(names.begin(), names.end());
+  for (const std::string& name : names) {
+    const Table* got = db.table(name);
+    if (got == nullptr || got->schema() != want.table(name)->schema())
+      return Status(Errc::kDecodeError,
+                    "table " + name + " does not match the SOR schema");
+  }
+  return Status::Ok();
 }
 
 }  // namespace sor::db

@@ -70,4 +70,9 @@ inline constexpr const char* kProcessorState = "processor_state";
 // Instantiate the full SOR schema (all seven tables + indexes) on `db`.
 void MakeSorSchema(Database& db);
 
+// kDecodeError naming the first SOR table that `db` lacks or lays out
+// otherwise than MakeSorSchema (columns, types, nullability, primary key):
+// the server reads rows by position, so a restored snapshot must match.
+[[nodiscard]] Status CheckSorSchema(const Database& db);
+
 }  // namespace sor::db

@@ -58,6 +58,7 @@ void Table::UnindexRow(RowId id, const Row& row) {
 }
 
 Result<RowId> Table::Insert(Row row) {
+  CountWrite();
   if (Status s = schema_.Validate(row); !s.ok()) return s.error();
   if (storage_faults_ != nullptr && storage_faults_->FailWrite(schema_.table_name))
     return Error{Errc::kUnavailable,
@@ -76,6 +77,7 @@ Result<RowId> Table::Insert(Row row) {
 }
 
 Result<std::vector<RowId>> Table::InsertBatch(std::vector<Row> rows) {
+  CountWrite();
   for (const Row& row : rows) {
     if (Status s = schema_.Validate(row); !s.ok()) return s.error();
   }
@@ -118,6 +120,7 @@ Result<std::vector<RowId>> Table::InsertBatch(std::vector<Row> rows) {
 }
 
 Result<RowId> Table::Upsert(Row row) {
+  CountWrite();
   if (Status s = schema_.Validate(row); !s.ok()) return s.error();
   if (storage_faults_ != nullptr && storage_faults_->FailWrite(schema_.table_name))
     return Error{Errc::kUnavailable,
@@ -293,6 +296,7 @@ std::vector<Row> Table::ScanOrderedBy(const std::string& column,
 
 Result<std::size_t> Table::Update(const Predicate& pred,
                                   const std::function<void(Row&)>& mutate) {
+  CountWrite();
   std::lock_guard lock(mu_);
   CountFullScan();
   // Two-phase: compute all new rows first, validate (including pk
@@ -314,6 +318,7 @@ Result<std::size_t> Table::Update(const Predicate& pred,
 Result<std::size_t> Table::UpdateWhereEq(
     const std::string& column, const Value& v, const Predicate& pred,
     const std::function<void(Row&)>& mutate) {
+  CountWrite();
   std::lock_guard lock(mu_);
   const int ci = schema_.column_index(column);
   if (ci < 0)
@@ -392,6 +397,7 @@ Result<std::size_t> Table::CommitUpdate(
 
 Status Table::UpdateByKey(const Value& key,
                           const std::function<void(Row&)>& mutate) {
+  CountWrite();
   std::lock_guard lock(mu_);
   const auto it = pk_index_.find(key);
   if (it == pk_index_.end())
@@ -437,6 +443,7 @@ Status Table::UpdateInPlace(const Value& key, int column, Value v) {
 
 Status Table::UpdateInPlace(const Value& key,
                             std::span<const std::pair<int, Value>> cells) {
+  CountWrite();
   std::lock_guard lock(mu_);
   for (const auto& [column, v] : cells) {
     if (Status s = CheckInPlaceColumn(column, v); !s.ok()) return s;
@@ -452,6 +459,7 @@ Status Table::UpdateInPlace(const Value& key,
 }
 
 std::size_t Table::Erase(const Predicate& pred) {
+  CountWrite();
   std::lock_guard lock(mu_);
   CountFullScan();
   std::size_t erased = 0;
@@ -468,6 +476,7 @@ std::size_t Table::Erase(const Predicate& pred) {
 }
 
 Status Table::EraseByKey(const Value& key) {
+  CountWrite();
   std::lock_guard lock(mu_);
   const auto it = pk_index_.find(key);
   if (it == pk_index_.end())

@@ -21,6 +21,7 @@
 //     re-index.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -168,6 +169,11 @@ class Table {
     return schema_.column_index(name);
   }
 
+  // Calls to the mutating methods (Insert, InsertBatch, Upsert, Update*,
+  // UpdateInPlace, Erase*), counted on entry whether or not they succeed:
+  // the operation-count tests assert which paths write a table at all.
+  [[nodiscard]] std::uint64_t writes() const { return writes_.load(); }
+
   // Names of columns carrying a secondary index (snapshot/restore).
   [[nodiscard]] std::vector<std::string> IndexedColumns() const;
 
@@ -213,6 +219,7 @@ class Table {
   void CountFullScan() const {
     if (full_scans_ != nullptr) full_scans_->Inc();
   }
+  void CountWrite() { ++writes_; }
   void CountMaterialized(std::size_t rows) const {
     if (rows_materialized_ != nullptr && rows != 0)
       rows_materialized_->Inc(rows);
@@ -240,6 +247,7 @@ class Table {
   std::map<Value, RowId, ValueLess> pk_index_;
   // column index → (value → sorted row ids); non-unique secondary indexes.
   std::unordered_map<int, SecondaryIndex> secondary_;
+  std::atomic<std::uint64_t> writes_{0};
   obs::Counter* full_scans_ = nullptr;  // not owned; nullable
   obs::Counter* rows_materialized_ = nullptr;  // not owned; nullable
   StorageFaultInjector* storage_faults_ = nullptr;  // not owned; nullable

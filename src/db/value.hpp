@@ -126,6 +126,8 @@ struct ColumnSpec {
   std::string name;
   ColumnType type = ColumnType::kInt64;
   bool nullable = false;
+
+  friend bool operator==(const ColumnSpec&, const ColumnSpec&) = default;
 };
 
 struct Schema {
@@ -136,6 +138,8 @@ struct Schema {
 
   [[nodiscard]] int column_index(std::string_view name) const;
   [[nodiscard]] Status Validate(const Row& row) const;
+
+  friend bool operator==(const Schema&, const Schema&) = default;
 };
 
 }  // namespace sor::db

@@ -1,10 +1,8 @@
 #include "server/data_processor.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/log.hpp"
-#include "common/stats.hpp"
 
 namespace sor::server {
 
@@ -17,66 +15,6 @@ using db::Value;
 // raw_data column positions (MakeSorSchema).
 constexpr int kRawIdCol = 0;
 constexpr int kRawBodyCol = 3;
-constexpr int kRawProcessedCol = 5;
-
-// Decoded raw data of one application, grouped for feature extraction
-// (the full-recompute oracle path).
-struct AppRawData {
-  // Per sensor kind: every tuple uploaded for this app.
-  std::map<SensorKind, std::vector<ReadingTuple>> by_kind;
-  // GPS fixes grouped per task (each task is one phone walking the trail;
-  // curvature must be computed along one phone's track, not a shuffle of
-  // all phones).
-  std::map<std::uint64_t, std::vector<ReadingTuple>> gps_by_task;
-};
-
-double ExtractFeature(const FeatureDef& def, const AppRawData& data,
-                      const DataProcessorOptions& options,
-                      std::size_t* n_samples) {
-  *n_samples = 0;
-  const auto it = data.by_kind.find(def.sensor);
-  switch (def.method) {
-    case ExtractMethod::kMeanOfAll: {
-      if (it == data.by_kind.end()) return 0.0;
-      std::vector<double> all;
-      for (const ReadingTuple& t : it->second)
-        all.insert(all.end(), t.values.begin(), t.values.end());
-      *n_samples = all.size();
-      if (options.reject_outliers)
-        return RobustMean(all, options.outlier_z_threshold);
-      return Mean(all);
-    }
-    case ExtractMethod::kMeanOfWindowStddev: {
-      // §V-A: "an average of the standard deviations of all accelerometer's
-      // readings within Δt".
-      if (it == data.by_kind.end()) return 0.0;
-      RunningStats outer;
-      for (const ReadingTuple& t : it->second) {
-        if (t.values.size() < 2) continue;
-        outer.add(StdDev(t.values));
-        *n_samples += t.values.size();
-      }
-      return outer.mean();
-    }
-    case ExtractMethod::kStddevOfWindowMeans: {
-      // §V-A: "the standard deviation of averages of all altitude sensor
-      // readings within Δt".
-      if (it == data.by_kind.end()) return 0.0;
-      RunningStats outer;
-      for (const ReadingTuple& t : it->second) {
-        if (t.values.empty()) continue;
-        outer.add(Mean(t.values));
-        *n_samples += t.values.size();
-      }
-      return outer.stddev();
-    }
-    case ExtractMethod::kGpsCurvature:
-      // §V-A: method of [17]; the shared implementation is also the
-      // incremental finalize, so the two paths are arithmetically one.
-      return GpsCurvatureOfTracks(data.gps_by_task, n_samples);
-  }
-  return 0.0;
-}
 
 }  // namespace
 
@@ -105,12 +43,21 @@ void DataProcessor::NoteUploadStored(AppId app, std::int64_t raw_id) {
   p.stored = std::max(p.stored, raw_id);
 }
 
-void DataProcessor::RestoreProgress(AppId app, std::int64_t stored_max,
-                                    std::int64_t processed_max) {
+void DataProcessor::RestoreProgress(const ApplicationRecord& app,
+                                    std::int64_t stored_max) {
   std::lock_guard lock(state_mu_);
-  AppProgress& p = progress_[app.value()];
+  AppProgress& p = progress_[app.id.value()];
   p.stored = stored_max;
-  p.processed = processed_max;
+  // The processed watermark is the cursor of the state a pass would use:
+  // the cached one, else the persisted one — decoded here for its cursor
+  // only and not cached, so the pass loads whatever the table holds then.
+  if (auto it = acc_.find(app.id.value()); it != acc_.end()) {
+    p.processed = it->second->cursor;
+  } else {
+    const std::optional<AppAccumulatorState> persisted =
+        LoadPersisted(app.id, app.spec.features.size());
+    p.processed = persisted ? persisted->cursor : 0;
+  }
 }
 
 void DataProcessor::ResetRuntimeState() {
@@ -119,29 +66,31 @@ void DataProcessor::ResetRuntimeState() {
   acc_.clear();
 }
 
+std::optional<AppAccumulatorState> DataProcessor::LoadPersisted(
+    AppId app, std::size_t n_features) const {
+  const Table* persisted = db_.table(db::tables::kProcessorState);
+  if (persisted == nullptr) return std::nullopt;
+  const std::int64_t app_key = static_cast<std::int64_t>(app.value());
+  const std::optional<Row> row = persisted->FindByKey(Value(app_key));
+  if (!row) return std::nullopt;
+  Result<AppAccumulatorState> decoded =
+      AppAccumulatorState::Decode((*row)[2].as_blob(), n_features);
+  if (decoded.ok()) return std::move(decoded).value();
+  // A stale/mismatched snapshot blob: the caller falls back to an empty
+  // state with cursor 0, which re-ingests the full history exactly once.
+  SOR_LOG(kWarn, "processor",
+          "discarding persisted state for app " << app.value() << ": "
+                                                << decoded.error().str());
+  return std::nullopt;
+}
+
 AppAccumulatorState* DataProcessor::GetOrLoadState(AppId app,
                                                    std::size_t n_features) {
   std::lock_guard lock(state_mu_);
   auto it = acc_.find(app.value());
   if (it != acc_.end()) return it->second.get();
-
-  auto state = std::make_unique<AppAccumulatorState>();
-  if (const Table* persisted = db_.table(db::tables::kProcessorState)) {
-    const std::int64_t app_key = static_cast<std::int64_t>(app.value());
-    if (std::optional<Row> row = persisted->FindByKey(Value(app_key))) {
-      Result<AppAccumulatorState> decoded =
-          AppAccumulatorState::Decode((*row)[2].as_blob(), n_features);
-      if (decoded.ok()) {
-        *state = std::move(decoded).value();
-      } else {
-        // A stale/mismatched snapshot blob: fall back to an empty state with
-        // cursor 0, which re-ingests the full history exactly once.
-        SOR_LOG(kWarn, "processor",
-                "discarding persisted state for app "
-                    << app.value() << ": " << decoded.error().str());
-      }
-    }
-  }
+  auto state = std::make_unique<AppAccumulatorState>(
+      LoadPersisted(app, n_features).value_or(AppAccumulatorState{}));
   AppAccumulatorState* ptr = state.get();
   acc_.emplace(app.value(), std::move(state));
   return ptr;
@@ -200,35 +149,26 @@ Result<int> DataProcessor::ProcessApp(const ApplicationRecord& app,
   const obs::StreamId stream =
       tracing ? tracer_->RegisterStream(StreamNameForApp(app.id)) : 0;
 
-  return options_.incremental
-             ? ProcessAppIncremental(app, now, raw, features, stream, tracing,
-                                     sink)
-             : ProcessAppFull(app, now, raw, features, stream, tracing, sink);
-}
-
-Result<int> DataProcessor::ProcessAppIncremental(const ApplicationRecord& app,
-                                                 SimTime now, Table* raw,
-                                                 Table* features,
-                                                 obs::StreamId stream,
-                                                 bool tracing,
-                                                 DataProcessorStats* sink) {
   const std::vector<FeatureDef>& defs = app.spec.features;
   AppAccumulatorState* state = GetOrLoadState(app.id, defs.size());
+  // Not incremental: every pass starts from cursor 0, a fresh accumulator
+  // given every blob.
+  if (!options_.incremental) *state = AppAccumulatorState{};
 
-  // Fold in only the blobs past the cursor, in raw_id (arrival) order —
-  // the same order the full recompute decodes them, so order-dependent
-  // accumulators (Welford) match it bit-for-bit. Stats accumulate locally
-  // and settle once at the end (into the caller's per-app sink when
-  // running concurrently) so per-app calls never contend.
+  // Fold in only the blobs past the cursor, in raw_id (arrival) order, so
+  // order-dependent accumulators (Welford) match a decode-everything
+  // recompute bit-for-bit. Stats accumulate locally and settle once at the
+  // end (into the caller's per-app sink when running concurrently) so
+  // per-app calls never contend. A pass writes nothing to raw_data: the
+  // cursor is the processed watermark.
   DataProcessorStats local;
-  std::vector<std::int64_t> new_ids;
   // One upload, decoded into again for every blob: its tuples' vectors
   // keep their capacity, so the pass allocates only for a new largest blob.
   SensedDataUpload upload;
   raw->ForEachWhereEqFromPk(
       "app_id", Value(app.id.value()), Value(state->cursor),
       [&](const Row& row) {
-        new_ids.push_back(row[kRawIdCol].as_int());
+        state->cursor = row[kRawIdCol].as_int();
         const db::Blob& body = row[kRawBodyCol].as_blob();
         if (Status decoded = DecodeUploadBody(body, upload); !decoded.ok()) {
           ++local.blobs_rejected;
@@ -248,7 +188,6 @@ Result<int> DataProcessor::ProcessAppIncremental(const ApplicationRecord& app,
         }
         return true;
       });
-  if (!new_ids.empty()) state->cursor = new_ids.back();
 
   int written = 0;
   for (std::size_t j = 0; j < defs.size(); ++j) {
@@ -270,100 +209,12 @@ Result<int> DataProcessor::ProcessAppIncremental(const ApplicationRecord& app,
     ++written;
   }
 
-  // Flag the consumed raw rows as processed — point in-place flips, no row
-  // copies, no re-indexing. The accumulator state stays in memory; it is
-  // written to processor_state only at snapshot time (PersistState).
-  for (std::int64_t raw_id : new_ids)
-    (void)raw->UpdateInPlace(Value(raw_id), kRawProcessedCol, Value(true));
-
+  // The accumulator state stays in memory; it is written to
+  // processor_state only at snapshot time (PersistState).
   {
     std::lock_guard lock(state_mu_);
     AppProgress& p = progress_[app.id.value()];
     p.processed = std::max(p.processed, state->cursor);
-  }
-
-  if (tracing) {
-    tracer_->Emit(stream, now, obs::EventKind::kAppProcessed, app.id.value(),
-                  static_cast<std::uint64_t>(written));
-  }
-  Accumulate(local, sink);
-  return written;
-}
-
-Result<int> DataProcessor::ProcessAppFull(const ApplicationRecord& app,
-                                          SimTime now, Table* raw,
-                                          Table* features,
-                                          obs::StreamId stream, bool tracing,
-                                          DataProcessorStats* sink) {
-  // Decode every upload body for this app (the stored bodies are the exact
-  // binary message payloads as received, §II-B).
-  DataProcessorStats local;
-  AppRawData data;
-  std::int64_t max_raw_id = 0;
-  raw->ForEachWhereEq("app_id", Value(app.id.value()), [&](const Row& row) {
-    max_raw_id = std::max(max_raw_id, row[kRawIdCol].as_int());
-    const db::Blob& body = row[kRawBodyCol].as_blob();
-    Result<Message> decoded = DecodeBody(MessageType::kSensedDataUpload, body);
-    if (!decoded.ok()) {
-      ++local.blobs_rejected;
-      SOR_LOG(kWarn, "processor",
-              "rejecting malformed upload blob: " << decoded.error().str());
-      return true;
-    }
-    ++local.blobs_decoded;
-    const auto& upload = std::get<SensedDataUpload>(decoded.value());
-    if (tracing) {
-      tracer_->Emit(stream, now, obs::EventKind::kBlobProcessed,
-                    upload.task.value(), upload.seq, app.id.value());
-    }
-    for (const ReadingTuple& t : upload.batches) {
-      ++local.tuples_processed;
-      data.by_kind[t.kind].push_back(t);
-      if (t.kind == SensorKind::kGps && !t.locations.empty())
-        data.gps_by_task[upload.task.value()].push_back(t);
-    }
-    return true;
-  });
-
-  int written = 0;
-  for (std::size_t j = 0; j < app.spec.features.size(); ++j) {
-    const FeatureDef& def = app.spec.features[j];
-    std::size_t n_samples = 0;
-    const double value = ExtractFeature(def, data, options_, &n_samples);
-    // Deterministic key per (app, feature): recomputation upserts.
-    const std::uint64_t feature_id = app.id.value() * 1000 + j + 1;
-    Result<db::RowId> r = features->Upsert(
-        {Value(feature_id), Value(app.id.value()),
-         Value(app.spec.place.value()), Value(def.name), Value(value),
-         Value(static_cast<std::int64_t>(n_samples)), Value(now.ms)});
-    if (!r.ok()) {
-      Accumulate(local, sink);
-      return r.error();
-    }
-    ++local.features_written;
-    ++written;
-  }
-
-  // Flag the consumed raw rows as processed — candidates via the app_id
-  // index rather than a full-table walk.
-  (void)raw->UpdateWhereEq(
-      "app_id", Value(app.id.value()),
-      [](const Row& row) { return !row[kRawProcessedCol].as_bool(); },
-      [](Row& row) { row[kRawProcessedCol] = Value(true); });
-
-  // The full path invalidates any incremental state: drop the cached
-  // accumulators and the persisted blob so a later incremental pass
-  // re-primes from cursor 0 (re-ingesting the history exactly once)
-  // instead of resuming from a cursor behind the processed watermark.
-  {
-    std::lock_guard lock(state_mu_);
-    AppProgress& p = progress_[app.id.value()];
-    p.processed = std::max(p.processed, max_raw_id);
-    acc_.erase(app.id.value());
-  }
-  if (Table* persisted = db_.table(db::tables::kProcessorState)) {
-    const std::int64_t app_key = static_cast<std::int64_t>(app.id.value());
-    (void)persisted->EraseByKey(Value(app_key));
   }
 
   if (tracing) {

@@ -7,17 +7,15 @@
 // humidity, roughness of road surface, etc), which will then be stored into
 // the database to serve as input for the Personalizable Ranker."
 //
-// ProcessApp() runs one of two equivalent paths (docs/performance.md):
-//   * incremental (default) — per-app accumulators (AppAccumulatorState),
-//     cached in memory, are fed only the blobs past the app's raw_id
-//     cursor, each decoded once into one reused upload, so a pass costs
-//     O(new uploads) instead of O(total history). PersistState writes them
-//     to the processor_state table; the server calls it at snapshot time
-//     only, since state changes only inside passes and only a restore
-//     reads it back;
-//   * full recompute (options.incremental = false) — decode every blob of
-//     the app and extract from scratch. Kept as the test oracle: both paths
-//     must produce bit-identical feature rows and trace events.
+// ProcessApp() feeds per-app accumulators (AppAccumulatorState), cached in
+// memory, only the blobs past the app's raw_id cursor, each decoded once
+// into one reused upload, so a pass costs O(new uploads) instead of
+// O(total history) and writes nothing to raw_data: the cursor is the
+// processed watermark (docs/performance.md). PersistState writes the
+// accumulators to the processor_state table; the server calls it at
+// snapshot time only, since state changes only inside passes and only a
+// restore reads it back. The decode-everything recompute the accumulators
+// are held bit-identical to lives in tests/processor_oracle.cpp.
 // BuildFeatureMatrix() assembles the ranker's H matrix from the feature
 // rows across the applications of one category.
 #pragma once
@@ -26,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,9 +64,10 @@ struct DataProcessorOptions {
   // broken or miscalibrated sensor cannot drag a place's feature value.
   bool reject_outliers = true;
   double outlier_z_threshold = 6.0;
-  // Streaming accumulators (the production path). false switches to the
-  // decode-everything recompute, the oracle the equivalence tests compare
-  // against. Appended last so positional initializers stay valid.
+  // Resume each app's accumulators from their cursor. false resets them to
+  // cursor 0 before every pass: a fresh accumulator given every blob, the
+  // same values at the cost of re-decoding the history. Appended last so
+  // positional initializers stay valid.
   bool incremental = true;
 };
 
@@ -104,10 +104,11 @@ class DataProcessor {
   // detect new work without probing the raw table at all.
   void NoteUploadStored(AppId app, std::int64_t raw_id);
 
-  // Rebuild one app's watermarks after a snapshot restore (the server scans
-  // the restored raw table once and reports the high-water marks).
-  void RestoreProgress(AppId app, std::int64_t stored_max,
-                       std::int64_t processed_max);
+  // Rebuild one app's watermarks after a snapshot restore or a reprime:
+  // `stored_max` is its highest raw_id (the server scans raw_data for it);
+  // the processed watermark is the cursor of the state a pass would use —
+  // the cached accumulator, else a processor_state row that decodes, else 0.
+  void RestoreProgress(const ApplicationRecord& app, std::int64_t stored_max);
 
   // Drop all in-memory watermarks and cached accumulator states. Called on
   // snapshot restore, before RestoreProgress repopulates; persisted
@@ -153,15 +154,10 @@ class DataProcessor {
     std::int64_t processed = 0;
   };
 
-  Result<int> ProcessAppIncremental(const ApplicationRecord& app, SimTime now,
-                                    db::Table* raw, db::Table* features,
-                                    obs::StreamId stream, bool tracing,
-                                    DataProcessorStats* sink);
-  Result<int> ProcessAppFull(const ApplicationRecord& app, SimTime now,
-                             db::Table* raw, db::Table* features,
-                             obs::StreamId stream, bool tracing,
-                             DataProcessorStats* sink);
-
+  // The app's processor_state row decoded, or nullopt when there is none
+  // or it does not decode (logged as discarded).
+  [[nodiscard]] std::optional<AppAccumulatorState> LoadPersisted(
+      AppId app, std::size_t n_features) const;
   // Fetch the app's cached accumulator state, loading it from the
   // processor_state table (or creating it fresh) on first touch.
   AppAccumulatorState* GetOrLoadState(AppId app, std::size_t n_features);

@@ -2,10 +2,52 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "common/geo.hpp"
 
 namespace sor::server {
+
+namespace {
+
+// HaversineMeters and PolylineCurvature (common/geo.hpp), given each
+// point's cos(latitude) instead of computing it: the curvature loop takes
+// one cosine per smoothed point where the geo.hpp pair took three. Every
+// operation and its order are geo.hpp's, so the results are bit-identical
+// (tests/test_server.cpp holds a reference built on geo.hpp).
+double SegmentMeters(const GeoPoint& a, double cos_a, const GeoPoint& b,
+                     double cos_b) {
+  const double sin_dphi = std::sin(DegToRad(b.lat_deg - a.lat_deg) / 2);
+  const double sin_dlam = std::sin(DegToRad(b.lon_deg - a.lon_deg) / 2);
+  const double s =
+      sin_dphi * sin_dphi + cos_a * cos_b * sin_dlam * sin_dlam;
+  return 2.0 * kEarthRadiusMeters *
+         std::atan2(std::sqrt(s), std::sqrt(1.0 - s));
+}
+
+LocalXY ProjectFrom(const GeoPoint& origin, double cos_origin,
+                    const GeoPoint& b) {
+  const double y =
+      DegToRad(b.lat_deg - origin.lat_deg) * kEarthRadiusMeters;
+  const double x = DegToRad(b.lon_deg - origin.lon_deg) * kEarthRadiusMeters *
+                   cos_origin;
+  return {x, y};
+}
+
+double VertexCurvature(const GeoPoint& a, const GeoPoint& b, double cos_b,
+                       const GeoPoint& c) {
+  const LocalXY u = ProjectFrom(b, cos_b, a);
+  const LocalXY v = ProjectFrom(b, cos_b, c);
+  const double lu = std::hypot(u.x_m, u.y_m);
+  const double lv = std::hypot(v.x_m, v.y_m);
+  if (lu < 1e-9 || lv < 1e-9) return 0.0;
+  const double dot = (-u.x_m) * v.x_m + (-u.y_m) * v.y_m;
+  double cosang = dot / (lu * lv);
+  cosang = std::fmin(1.0, std::fmax(-1.0, cosang));
+  return std::acos(cosang) / (0.5 * (lu + lv));
+}
+
+}  // namespace
 
 double GpsCurvatureOfTracks(
     const std::map<std::uint64_t, std::vector<ReadingTuple>>& gps_by_task,
@@ -14,6 +56,7 @@ double GpsCurvatureOfTracks(
   std::vector<const ReadingTuple*> tuples;
   std::vector<std::pair<std::int64_t, GeoPoint>> timed;
   std::vector<GeoPoint> smooth;
+  std::vector<double> cos_lat;  // cos(latitude) of each smoothed point
   for (const auto& [task, stored] : gps_by_task) {
     // Order the tuples by window start so curvature follows the walk order;
     // stable, so a pre-sorted input (the full-recompute oracle) keeps its
@@ -65,17 +108,23 @@ double GpsCurvatureOfTracks(
           (fix(i - 1).alt_m + fix(i).alt_m + fix(i + 1).alt_m) / 3.0;
     }
 
-    // Each smoothed segment's length is computed once: the vertex at i
-    // reads the segment before it (carried over) and the one after it.
+    // Each smoothed point's cosine and each segment's length are computed
+    // once: the vertex at i reads the segment before it (carried over) and
+    // the one after it.
+    cos_lat.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+      cos_lat[i] = std::cos(DegToRad(smooth[i].lat_deg));
     RunningStats curv;
-    double before = HaversineMeters(smooth[0], smooth[1]);
+    double before = SegmentMeters(smooth[0], cos_lat[0], smooth[1], cos_lat[1]);
     for (std::size_t i = 1; i + 1 < n; ++i) {
-      const double after = HaversineMeters(smooth[i], smooth[i + 1]);
+      const double after =
+          SegmentMeters(smooth[i], cos_lat[i], smooth[i + 1], cos_lat[i + 1]);
       // Skip near-stationary vertices: angle is undefined noise there.
       const bool stationary = before < 5.0 || after < 5.0;
       before = after;
       if (stationary) continue;
-      curv.add(PolylineCurvature(smooth[i - 1], smooth[i], smooth[i + 1]));
+      curv.add(
+          VertexCurvature(smooth[i - 1], smooth[i], cos_lat[i], smooth[i + 1]));
     }
     if (curv.count() == 0) continue;
     *n_samples += n;

@@ -19,8 +19,9 @@
 // then finalizing yields bit-for-bit the value the full recompute produces —
 // every accumulator consumes readings in the same arrival order the
 // decode-everything loop would, and Welford state round-trips exactly via
-// RunningStats::FromMoments. tests/test_perf.cpp holds both paths side by
-// side to enforce this.
+// RunningStats::FromMoments. tests/processor_oracle.cpp keeps the full
+// recompute, and tests/test_perf.cpp and tests/test_chaos.cpp hold the
+// two side by side to enforce this.
 //
 // State is serializable (Encode/Decode). The Data Processor keeps it in
 // memory between passes and writes it to the processor_state table when
@@ -42,13 +43,14 @@
 namespace sor::server {
 
 // Whole-track curvature (mrad/m) averaged across tasks, the method of the
-// paper's [17]. Shared by the incremental finalize and the full-recompute
-// oracle so both paths run literally the same arithmetic: tuples are ordered
-// per task by window start (a stable sort of pointers, so the stored tuples
-// are neither copied nor reordered), fix times are reconstructed evenly
-// over [t, t+Δt], the track is 3-point smoothed, and vertices next to a
-// segment under 5 m are skipped (each segment length is computed once).
-// `n_samples` accumulates the fix count of every track that contributed.
+// paper's [17]. Shared by the incremental finalize and the test-side full
+// recompute: tuples are ordered per task by window start (a stable sort of
+// pointers, so the stored tuples are neither copied nor reordered), fix
+// times are reconstructed evenly over [t, t+Δt], the track is 3-point
+// smoothed, and vertices next to a segment under 5 m are skipped (each
+// smoothed point's cos(latitude) and each segment length are computed
+// once). `n_samples` accumulates the fix count of every track that
+// contributed.
 [[nodiscard]] double GpsCurvatureOfTracks(
     const std::map<std::uint64_t, std::vector<ReadingTuple>>& gps_by_task,
     std::size_t* n_samples);

@@ -357,7 +357,7 @@ Message SensingServer::OnUpload(const SensedDataUpload& upload,
   Result<db::RowId> stored = raw->Insert(
       {db::Value(raw_id), db::Value(upload.task.value()),
        db::Value(rec.value().app.value()), db::Value(Bytes(body.begin(), body.end())),
-       db::Value(clock_.now().ms), db::Value(false),
+       db::Value(clock_.now().ms),
        db::Value(static_cast<std::int64_t>(upload.seq))});
   if (!stored.ok()) {
     // Storage fault: the row did NOT land. Answer with a throttle — the
@@ -512,27 +512,25 @@ void SensingServer::RebuildDerivedState() {
   // Processor's per-app watermarks from raw_data. The id source needs only
   // the max primary key (O(1)); the dedup/watermark scan goes app by app
   // through the app_id index — every raw row belongs to a registered app,
-  // so this covers the table without a full walk.
+  // so this covers the table without a full walk. The processed watermark
+  // comes from the processor's own cursor, not from raw_data.
   db::Table* raw = db_.table(db::tables::kRawData);
   if (std::optional<db::Value> max_id = raw->MaxPrimaryKey())
     raw_ids_.advance_past(static_cast<std::uint64_t>(max_id->as_int()));
   seen_upload_seqs_.clear();
   for (const ApplicationRecord& app : apps_.All()) {
     std::int64_t stored_max = 0;
-    std::int64_t processed_max = 0;
     raw->ForEachWhereEq(
         "app_id", db::Value(app.id.value()), [&](const db::Row& r) {
-          const std::int64_t id = r[0].as_int();
-          stored_max = std::max(stored_max, id);
-          if (r[5].as_bool()) processed_max = std::max(processed_max, id);
-          const std::int64_t seq = r[6].as_int();
+          stored_max = std::max(stored_max, r[0].as_int());
+          const std::int64_t seq = r[5].as_int();
           if (seq != 0) {
             seen_upload_seqs_[static_cast<std::uint64_t>(r[1].as_int())]
                 .insert(static_cast<std::uint64_t>(seq));
           }
           return true;
         });
-    processor_.RestoreProgress(app.id, stored_max, processed_max);
+    processor_.RestoreProgress(app, stored_max);
   }
 }
 
@@ -566,6 +564,9 @@ Status SensingServer::RestoreFromSnapshot(
   // tables immediately.
   db::Database fresh;
   if (Status s = db::RestoreDatabase(snapshot, fresh); !s.ok()) return s;
+  // Rows are read by position, so a table laid out otherwise (a snapshot
+  // from before raw_data lost its `processed` column) is refused here.
+  if (Status s = db::CheckSorSchema(fresh); !s.ok()) return s;
   db_ = std::move(fresh);
   // db_ was replaced wholesale; re-wire its full-scan counter.
   db_.AttachObservability(registry_);

@@ -98,7 +98,7 @@ class SensingServer final : public net::Endpoint {
   // With an executor attached, apps are processed in parallel: each app's
   // row set is disjoint and the table locks are shared for reads, so the
   // only cross-app state is the stats counters, which merge under a mutex.
-  // Results (features, processed flags, returned total) are independent of
+  // Results (features, accumulator cursors, returned total) are independent of
   // thread count. Each call's wall time lands in the "processor.pass_ns"
   // histogram of the attached registry (telemetry only, never traced).
   Result<int> ProcessAllData();

@@ -17,6 +17,7 @@
 
 #include "core/system.hpp"
 #include "db/snapshot.hpp"
+#include "processor_oracle.hpp"
 #include "server/feature_def.hpp"
 #include "world/phone_agent.hpp"
 
@@ -58,9 +59,10 @@ void CheckStorageInvariants(server::SensingServer& srv) {
   const db::Table* raw = srv.database().table(db::tables::kRawData);
   std::set<std::pair<std::int64_t, std::int64_t>> keys;
   std::map<std::int64_t, std::set<std::int64_t>> instants_per_task;
+  const auto seq_col = static_cast<std::size_t>(raw->col("seq"));
   for (const db::Row& r : raw->Scan()) {
     const std::int64_t task = r[1].as_int();
-    const std::int64_t seq = r[6].as_int();
+    const std::int64_t seq = r[seq_col].as_int();
     if (seq != 0) {
       EXPECT_TRUE(keys.insert({task, seq}).second)
           << "duplicate raw row for task " << task << " seq " << seq;
@@ -486,8 +488,10 @@ TEST(Chaos, ServerCrashMidCampaignRecoversFromSnapshot) {
 TEST(Chaos, IncrementalMatchesFullUnderChaos) {
   // The streaming-accumulator path against its oracle, under the full fault
   // battery (duplicated, dropped-and-retried, corrupt-rejected uploads):
-  // identical feature rows bit-for-bit AND identical trace fingerprints,
-  // with the incremental path run at 1, 2 and 8 threads.
+  // feature rows bit-for-bit equal to the test-side full recompute over the
+  // stored campaign, and trace fingerprints equal to a run whose passes
+  // start every accumulator from cursor 0 (incremental_processing =
+  // false), with the incremental path run at 1, 2 and 8 threads.
   const world::Scenario scenario = SmallCoffeeScenario();
   for (std::uint64_t seed : {3ULL, 11ULL}) {
     SCOPED_TRACE("chaos seed " + std::to_string(seed));
@@ -503,12 +507,12 @@ TEST(Chaos, IncrementalMatchesFullUnderChaos) {
         full_system.RunFieldTest(scenario, full_config);
     ASSERT_TRUE(full.ok()) << full.error().str();
 
-    // Pull the oracle's feature rows (pk-ordered, so comparable by index).
+    // The oracle's feature rows, recomputed from everything the campaign
+    // stored (pk-ordered, so comparable by index).
     const std::vector<db::Row> want_rows =
-        full_system.server()
-            .database()
-            .table(db::tables::kFeatureData)
-            ->ScanOrderedBy("feature_id");
+        server::oracle::RecomputeFeatures(full_system.server(),
+                                          full_system.clock().now())
+            .rows;
     ASSERT_FALSE(want_rows.empty());
     // The chaos actually happened (not a vacuous pass): duplicates were
     // deduped and corrupted frames were rejected before storage.

@@ -8,6 +8,8 @@
 #include <limits>
 #include <random>
 #include <span>
+#include <string>
+#include <variant>
 
 #include "codec/bytes.hpp"
 #include "codec/crc32.hpp"
@@ -212,6 +214,28 @@ TEST(Bytes, BlobViewPointsIntoTheInput) {
   EXPECT_TRUE(r.finish().ok());
 }
 
+TEST(Bytes, F64RunIsCheckedOnceAndFailsLikeSingleReads) {
+  ByteWriter w;
+  for (double v : {1.5, -2.25, 3.0}) w.f64(v);
+  w.u8(7);  // 25 bytes: room for 3 doubles, not 4
+  {
+    ByteReader r(w.bytes());
+    const F64Run run = r.f64s(3);
+    ASSERT_EQ(run.size(), 3u);
+    EXPECT_EQ(run[0], 1.5);
+    EXPECT_EQ(run[1], -2.25);
+    EXPECT_EQ(run[2], 3.0);
+    EXPECT_EQ(r.u8(), 7);
+    EXPECT_TRUE(r.finish().ok());
+  }
+  for (std::uint64_t n : {std::uint64_t{4}, ~std::uint64_t{0}}) {
+    ByteReader r(w.bytes());
+    EXPECT_EQ(r.f64s(n).size(), 0u) << n;
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.u8(), 0);  // the failure sticks
+  }
+}
+
 // --- message round-trips -----------------------------------------------------
 
 Message SampleParticipation() {
@@ -382,6 +406,85 @@ TEST(Messages, OverlongValueCountInUploadRejected) {
 TEST(Messages, OverlongLocationCountInUploadRejected) {
   const Bytes body = UploadWithOverlongCount(/*locations=*/true);
   EXPECT_EQ(DecodeBody(MessageType::kSensedDataUpload, body).code(),
+            Errc::kDecodeError);
+}
+
+// An upload of one tuple holding `values` readings and `fixes` GPS fixes,
+// whose counts claim `extra_values` / `extra_fixes` more than follow.
+Bytes UploadWithCounts(int values, int extra_values, int fixes,
+                       int extra_fixes) {
+  ByteWriter w;
+  w.varint(1);  // task
+  w.varint(2);  // user
+  w.varint(3);  // seq
+  w.varint(1);  // one batch
+  w.u8(static_cast<std::uint8_t>(SensorKind::kGps));
+  w.svarint(1'000);  // t
+  w.svarint(500);    // dt
+  w.varint(static_cast<std::uint64_t>(values + extra_values));
+  for (int i = 0; i < values; ++i) w.f64(100.0 + i);
+  w.varint(static_cast<std::uint64_t>(fixes + extra_fixes));
+  for (int i = 0; i < fixes; ++i) {
+    w.f64(43.0 + 0.001 * i);
+    w.f64(-76.0);
+    w.f64(150.0 + i);
+  }
+  return w.take();
+}
+
+TEST(Messages, CountsOnePastTheBytesLeftRefused) {
+  // Each bad body claims the smallest count its bytes cannot hold. With k
+  // readings and no fixes written, the bytes left after the value count
+  // are 8k + 1 (the fix count follows), so remaining/8 + 1 = k + 1 values.
+  // With m fixes written last, the bytes left after the fix count are 24m,
+  // so remaining/24 + 1 = m + 1 fixes. Each is refused, and the body with
+  // the exact count decodes.
+  struct Case {
+    int values, fixes;
+    bool extra_value;  // else one extra fix
+  };
+  SensedDataUpload reused;
+  for (const Case& c : {Case{0, 0, true}, Case{1, 0, true}, Case{5, 0, true},
+                        Case{0, 0, false}, Case{3, 2, false},
+                        Case{0, 4, false}}) {
+    SCOPED_TRACE(std::to_string(c.values) + " values, " +
+                 std::to_string(c.fixes) + " fixes");
+    const Bytes bad = UploadWithCounts(c.values, c.extra_value ? 1 : 0,
+                                       c.fixes, c.extra_value ? 0 : 1);
+    const Bytes good = UploadWithCounts(c.values, 0, c.fixes, 0);
+    EXPECT_EQ(DecodeBody(MessageType::kSensedDataUpload, bad).code(),
+              Errc::kDecodeError);
+    EXPECT_FALSE(DecodeUploadBody(bad, reused).ok());
+    // A good body decoded into the upload a refused one left behind equals
+    // a fresh decode.
+    ASSERT_TRUE(DecodeUploadBody(good, reused).ok());
+    Result<Message> fresh = DecodeBody(MessageType::kSensedDataUpload, good);
+    ASSERT_TRUE(fresh.ok()) << fresh.error().str();
+    EXPECT_EQ(reused, std::get<SensedDataUpload>(fresh.value()));
+    ASSERT_EQ(reused.batches.size(), 1u);
+    EXPECT_EQ(reused.batches[0].values.size(),
+              static_cast<std::size_t>(c.values));
+    EXPECT_EQ(reused.batches[0].locations.size(),
+              static_cast<std::size_t>(c.fixes));
+  }
+}
+
+TEST(Messages, FixCountThatWrapsWhenTripledRefused) {
+  // 3 * 6148914691236517206 is 2 modulo 2^64: a decoder that sized the fix
+  // run by the tripled count alone would read two doubles and accept.
+  ByteWriter w;
+  w.varint(1);  // task
+  w.varint(2);  // user
+  w.varint(3);  // seq
+  w.varint(1);  // one batch
+  w.u8(static_cast<std::uint8_t>(SensorKind::kGps));
+  w.svarint(1'000);  // t
+  w.svarint(500);    // dt
+  w.varint(0);       // values
+  w.varint(6148914691236517206ULL);
+  w.f64(43.0);
+  w.f64(-76.0);
+  EXPECT_EQ(DecodeBody(MessageType::kSensedDataUpload, w.bytes()).code(),
             Errc::kDecodeError);
 }
 

@@ -534,7 +534,8 @@ TEST(Database, SorSchemaComplete) {
   }
   // Spot-check a couple of schema facts the server relies on.
   EXPECT_EQ(db.table(tables::kParticipations)->col("status"), 6);
-  EXPECT_EQ(db.table(tables::kRawData)->col("processed"), 5);
+  EXPECT_EQ(db.table(tables::kRawData)->col("seq"), 5);
+  EXPECT_EQ(db.table(tables::kRawData)->schema().columns.size(), 6u);
   EXPECT_EQ(db.table(tables::kApplications)->col("features"), 9);
   EXPECT_EQ(db.table(tables::kParticipations)->col("incarnation"), 9);
 }
@@ -593,8 +594,7 @@ TEST(StorageFaults, SeededScheduleIsDeterministicAndScoped) {
       if (interleave_unmatched)
         (void)users->Insert({Value(1000 + i), Value("u"), Value("t" + std::to_string(i))});
       Result<RowId> r = raw->Insert({Value(i), Value(1), Value(1),
-                                     Value(Blob{1}), Value(0), Value(false),
-                                     Value(i)});
+                                     Value(Blob{1}), Value(0), Value(i)});
       pattern += r.ok() ? '.' : 'x';
     }
     return pattern;

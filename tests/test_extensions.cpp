@@ -187,7 +187,7 @@ TEST(Snapshot, RoundTripPreservesEverything) {
   db::Table* raw = original.table(db::tables::kRawData);
   ASSERT_TRUE(raw->Insert({db::Value(1), db::Value(2), db::Value(3),
                            db::Value(db::Blob{1, 2, 3}), db::Value(42),
-                           db::Value(false), db::Value(7)})
+                           db::Value(7)})
                   .ok());
 
   const Bytes snapshot = db::SnapshotDatabase(original);
@@ -247,7 +247,7 @@ TEST(Snapshot, FuzzTornBytesRejectedAllOrNothing) {
   ASSERT_TRUE(original.table(db::tables::kRawData)
                   ->Insert({db::Value(1), db::Value(2), db::Value(3),
                             db::Value(db::Blob{0xDE, 0xAD, 0xBE, 0xEF}),
-                            db::Value(42), db::Value(false), db::Value(7)})
+                            db::Value(42), db::Value(7)})
                   .ok());
   ASSERT_TRUE(original.table(db::tables::kParticipations)
                   ->Insert({db::Value(9), db::Value(1), db::Value(3),

@@ -28,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "phone/frontend.hpp"
 #include "phone/task_instance.hpp"
+#include "processor_oracle.hpp"
 #include "sensors/providers.hpp"
 #include "server/server.hpp"
 #include "world/phone_agent.hpp"
@@ -94,10 +95,11 @@ struct PerfFixture {
 
   // One upload with a noise + temperature tuple, contents varied by i so
   // every round changes the features.
-  void SendReadings(int i) {
+  void SendReadings(int i) { SendReadings(i, task, user); }
+  void SendReadings(int i, TaskId as_task, UserId as_user) {
     SensedDataUpload upload;
-    upload.task = task;
-    upload.user = user;
+    upload.task = as_task;
+    upload.user = as_user;
     ReadingTuple noise;
     noise.kind = SensorKind::kMicrophone;
     noise.t = SimTime{(i + 1) * 1'000};
@@ -163,10 +165,10 @@ struct PerfFixture {
   TaskId task;
 };
 
-void UseFullRecompute(SensingServer& server) {
-  DataProcessorOptions opts = server.data_processor().options();
-  opts.incremental = false;
-  server.data_processor().set_options(opts);
+// The full-recompute oracle's feature rows for `f`'s raw data, as a pass
+// at the fixture's current time would write them.
+std::vector<db::Row> OracleRows(PerfFixture& f) {
+  return oracle::RecomputeFeatures(f.server, f.clock.now()).rows;
 }
 
 // --- the O(uploads) decode guarantee ---------------------------------------
@@ -215,7 +217,7 @@ TEST(Perf, UploadAndProcessAvoidFullScans) {
 
   // One processing pass walks the applications table once (enumerating
   // deployed apps is a legitimate full scan) and nothing else: new blobs
-  // come through the app_id index, processed flags flip in place.
+  // come through the app_id index from the app's cursor.
   ASSERT_TRUE(f.server.ProcessAllData().ok());
   EXPECT_EQ(full_scans.value(), base + 1);
 
@@ -232,8 +234,6 @@ TEST(Perf, UploadAndProcessAvoidFullScans) {
 
 TEST(Perf, IncrementalMatchesFullRecomputeLockstep) {
   PerfFixture inc(/*trail=*/true);
-  PerfFixture full(/*trail=*/true);
-  UseFullRecompute(full.server);
 
   // Interleave uploads and processing passes; after every pass the feature
   // rows must be bit-for-bit identical — same values, same n_samples, same
@@ -242,17 +242,14 @@ TEST(Perf, IncrementalMatchesFullRecomputeLockstep) {
   int i = 0;
   for (int round = 0; round < 4; ++round) {
     inc.SendTrailReadings(i);
-    full.SendTrailReadings(i);
     ++i;
     if (round % 2 == 1) {  // some passes see two new uploads, some one
       inc.SendTrailReadings(i);
-      full.SendTrailReadings(i);
       ++i;
     }
     ASSERT_TRUE(inc.server.ProcessAllData().ok());
-    ASSERT_TRUE(full.server.ProcessAllData().ok());
     const std::vector<db::Row> got = inc.FeatureRows();
-    const std::vector<db::Row> want = full.FeatureRows();
+    const std::vector<db::Row> want = OracleRows(inc);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t r = 0; r < want.size(); ++r)
       EXPECT_EQ(got[r], want[r]) << "round " << round << " row " << r;
@@ -268,17 +265,22 @@ TEST(Perf, CorruptBlobRejectedIdenticallyToFullPath) {
   // torn write would leave it, then advance the watermark by hand.
   auto run = [](bool incremental) {
     PerfFixture f;
-    if (!incremental) UseFullRecompute(f.server);
     f.SendReadings(0);
     db::Table* raw = f.server.database().table(db::tables::kRawData);
     const std::int64_t bad_id = raw->MaxPrimaryKey()->as_int() + 1;
     EXPECT_TRUE(raw->Insert({db::Value(bad_id), db::Value(f.task.value()),
                              db::Value(f.app.value()),
                              db::Value(db::Blob{0xde, 0xad, 0xbe, 0xef}),
-                             db::Value(f.clock.now().ms), db::Value(false),
+                             db::Value(f.clock.now().ms),
                              db::Value(std::int64_t{0})})
                     .ok());
     f.server.data_processor().NoteUploadStored(f.app, bad_id);
+    if (!incremental) {
+      const oracle::FullRecompute full =
+          oracle::RecomputeFeatures(f.server, f.clock.now());
+      EXPECT_EQ(full.blobs_rejected, 1u);
+      return full.rows;
+    }
     EXPECT_TRUE(f.server.ProcessAllData().ok());
     EXPECT_EQ(f.server.data_processor().stats().blobs_rejected, 1u);
     return f.FeatureRows();
@@ -314,11 +316,9 @@ TEST(Perf, AccumulatorStateSurvivesSnapshotRestore) {
   }
 
   PerfFixture oracle(/*trail=*/true);
-  UseFullRecompute(oracle.server);
   for (int i = 0; i < 4; ++i) oracle.SendTrailReadings(i);
-  ASSERT_TRUE(oracle.server.ProcessAllData().ok());
 
-  const std::vector<db::Row> want = oracle.FeatureRows();
+  const std::vector<db::Row> want = OracleRows(oracle);
   ASSERT_FALSE(want.empty());
   for (PerfFixture* f : {&live, &restored}) {
     const std::vector<db::Row> got = f->FeatureRows();
@@ -356,6 +356,67 @@ TEST(Perf, ProcessingPassPersistsNoAccumulatorState) {
   EXPECT_EQ(persisted->size(), 1u);
 }
 
+TEST(Perf, ProcessingPassWritesNoRawRows) {
+  // A pass reads raw_data and writes nothing back: each app's accumulator
+  // cursor is its processed watermark, so no per-row flag is flipped.
+  PerfFixture f(/*trail=*/true);
+  const AppId cafe = f.server.DeployApplication(PerfAppSpec(false)).value().app;
+  const UserId user2 =
+      f.server.users().RegisterUser("perf-user-2", Token{"tok-q"}).value();
+  AckPhone phone2(f.net, "phone:tok-q");
+  ParticipationRequest req;
+  req.user = user2;
+  req.token = Token{"tok-q"};
+  req.app = cafe;
+  req.location = GeoPoint{43.0, -76.0, 100};
+  req.budget = 100;
+  Result<Message> reply = f.net.Send("server", req);
+  ASSERT_TRUE(reply.ok()) << reply.error().str();
+  const TaskId task2 = std::get<ParticipationReply>(reply.value()).task;
+
+  const db::Table* raw = f.server.database().table(db::tables::kRawData);
+  const db::Table* features =
+      f.server.database().table(db::tables::kFeatureData);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      f.SendTrailReadings(3 * round + i);
+      f.SendReadings(3 * round + i, task2, user2);
+    }
+    const std::uint64_t raw_before = raw->writes();
+    const std::uint64_t features_before = features->writes();
+    ASSERT_TRUE(f.server.ProcessAllData().ok());
+    EXPECT_EQ(raw->writes() - raw_before, 0u) << "round " << round;
+    // The counter is live: the pass did write its feature rows.
+    EXPECT_GT(features->writes(), features_before);
+  }
+  // Both apps' uploads were stored (6 raw inserts each) and processed.
+  EXPECT_EQ(raw->writes(), 12u);
+  EXPECT_EQ(f.server.data_processor().stats().blobs_decoded, 12u);
+}
+
+TEST(Perf, NonIncrementalPassesReingestEveryBlob) {
+  // DataProcessorOptions::incremental = false resets each app's
+  // accumulator to cursor 0 before every pass: the history is decoded
+  // again each time, and the rows equal the incremental ones.
+  PerfFixture inc(/*trail=*/true);
+  PerfFixture reset(/*trail=*/true);
+  DataProcessorOptions opts = reset.server.data_processor().options();
+  opts.incremental = false;
+  reset.server.data_processor().set_options(opts);
+  std::uint64_t history = 0;
+  std::uint64_t decoded = 0;
+  for (int i = 0; i < 3; ++i) {
+    inc.SendTrailReadings(i);
+    reset.SendTrailReadings(i);
+    ASSERT_TRUE(inc.server.ProcessAllData().ok());
+    ASSERT_TRUE(reset.server.ProcessAllData().ok());
+    decoded += ++history;
+    EXPECT_EQ(reset.server.data_processor().stats().blobs_decoded, decoded);
+    EXPECT_EQ(reset.FeatureRows(), inc.FeatureRows()) << "pass " << i;
+  }
+  EXPECT_EQ(inc.server.data_processor().stats().blobs_decoded, history);
+}
+
 TEST(Perf, ReprimeKeepsAccumulatorState) {
   // A storage-failure reprime rebuilds the watermarks from the intact
   // tables but keeps the cached accumulators, which hold only what passes
@@ -386,11 +447,9 @@ TEST(Perf, ReprimeKeepsAccumulatorState) {
   EXPECT_EQ(f.server.data_processor().stats().blobs_decoded, 4u);
 
   PerfFixture oracle(/*trail=*/true);
-  UseFullRecompute(oracle.server);
   for (int i = 0; i < 4; ++i) oracle.SendTrailReadings(i);
   oracle.clock.advance(SimDuration{10'000});
-  ASSERT_TRUE(oracle.server.ProcessAllData().ok());
-  const std::vector<db::Row> want = oracle.FeatureRows();
+  const std::vector<db::Row> want = OracleRows(oracle);
   const std::vector<db::Row> got = f.FeatureRows();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t r = 0; r < want.size(); ++r)
@@ -417,10 +476,8 @@ TEST(Perf, OversizedStateCountDiscardedAndReingested) {
   huge_tuples.varint(kHuge);
 
   PerfFixture oracle(/*trail=*/true);
-  UseFullRecompute(oracle.server);
   for (int i = 0; i < 4; ++i) oracle.SendTrailReadings(i);
-  ASSERT_TRUE(oracle.server.ProcessAllData().ok());
-  const std::vector<db::Row> want = oracle.FeatureRows();
+  const std::vector<db::Row> want = OracleRows(oracle);
   ASSERT_FALSE(want.empty());
 
   for (const Bytes& hostile : {huge_values.take(), huge_tuples.take()}) {

@@ -13,6 +13,7 @@
 #include "codec/crc32.hpp"
 #include "common/features.hpp"
 #include "common/rng.hpp"
+#include "db/snapshot.hpp"
 #include "phone/frontend.hpp"
 #include "server/server.hpp"
 #include "server/coverage_report.hpp"
@@ -712,14 +713,23 @@ TEST(DataProcessor, ExtractsMeanFeatures) {
                    0.0);
   EXPECT_FALSE(
       f.server.data_processor().FeatureValue(app, "bogus").ok());
-  // Raw rows flagged processed.
-  EXPECT_TRUE(f.server.database()
-                  .table(db::tables::kRawData)
-                  ->FindWhereEq("processed", db::Value(false))
-                  .empty());
-  // Reprocessing is idempotent (upserts).
+  // Reprocessing is idempotent (upserts), and a second pass decodes no
+  // blob: the processed watermark is the cursor, at the app's max raw_id.
+  const std::uint64_t decoded =
+      f.server.data_processor().stats().blobs_decoded;
   ASSERT_TRUE(f.server.ProcessAllData().ok());
   EXPECT_EQ(f.server.database().table(db::tables::kFeatureData)->size(), 4u);
+  EXPECT_EQ(f.server.data_processor().stats().blobs_decoded - decoded, 0u);
+  const std::optional<db::Value> max_raw_id =
+      f.server.database().table(db::tables::kRawData)->MaxPrimaryKey();
+  ASSERT_TRUE(max_raw_id.has_value());
+  (void)f.server.SnapshotState();  // persists the cursor
+  const std::optional<db::Row> state =
+      f.server.database()
+          .table(db::tables::kProcessorState)
+          ->FindByKey(db::Value(static_cast<std::int64_t>(app.value())));
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ((*state)[1], *max_raw_id);
 }
 
 TEST(DataProcessor, WindowStatisticsMethods) {
@@ -1504,6 +1514,59 @@ TEST(Participation, ReinstallFinishesTheOldTaskAndOpensAFreshOne) {
   const ParticipationRecord fresh = f.server.participations().Get(new_task).value();
   EXPECT_EQ(fresh.incarnation, 2u);
   EXPECT_EQ(fresh.status, "waiting_for_schedule");
+}
+
+TEST(CrashRecovery, OldRawDataLayoutRefusedWithoutStateChange) {
+  // A snapshot written while raw_data still had its `processed` column (7
+  // columns, seq at 6): the server reads raw rows by position, so the
+  // restore must refuse it whole, as a decode error naming the table.
+  ServerFixture old;
+  Result<BarcodePayload> barcode = old.server.DeployApplication(TestAppSpec());
+  ASSERT_TRUE(barcode.ok());
+  RecordingPhone old_phone(old.net, "phone:tok-a");
+  const TaskId task = JoinOneUser(old, barcode.value().app, "tok-a");
+  const UserId user = old.server.participations().Get(task).value().user;
+  ASSERT_TRUE(old.net.Send("server", MakeUpload(task, user, 1, 10'000)).ok());
+  db::Database legacy;
+  ASSERT_TRUE(db::RestoreDatabase(old.server.SnapshotState(), legacy).ok());
+  const std::vector<db::Row> rows =
+      legacy.table(db::tables::kRawData)->ScanOrderedBy("raw_id");
+  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_TRUE(legacy.DropTable(db::tables::kRawData).ok());
+  db::Schema schema;
+  schema.table_name = db::tables::kRawData;
+  schema.columns = {{"raw_id", db::ColumnType::kInt64},
+                    {"task_id", db::ColumnType::kInt64},
+                    {"app_id", db::ColumnType::kInt64},
+                    {"body", db::ColumnType::kBlob},
+                    {"received_ms", db::ColumnType::kInt64},
+                    {"processed", db::ColumnType::kBool},
+                    {"seq", db::ColumnType::kInt64}};
+  db::Table* raw = legacy.CreateTable(std::move(schema)).value();
+  ASSERT_TRUE(raw->CreateIndex("app_id").ok());
+  ASSERT_TRUE(raw->CreateIndex("task_id").ok());
+  db::Row row = rows[0];
+  row.insert(row.begin() + 5, db::Value(true));
+  ASSERT_TRUE(raw->Insert(std::move(row)).ok());
+  const Bytes snapshot = db::SnapshotDatabase(legacy);
+
+  // A live server with state of its own: an app and a stored upload.
+  ServerFixture f;
+  Result<BarcodePayload> live = f.server.DeployApplication(TestAppSpec());
+  ASSERT_TRUE(live.ok());
+  const Bytes before = f.server.SnapshotState();
+
+  Status restored = Status::Ok();
+  EXPECT_NO_THROW(restored = f.server.RestoreFromSnapshot(snapshot));
+  EXPECT_EQ(restored.code(), Errc::kDecodeError);
+  EXPECT_NE(restored.str().find("raw_data"), std::string::npos)
+      << restored.str();
+  EXPECT_EQ(f.server.stats().recoveries, 0u);
+  // The server kept its own state and keeps serving it.
+  EXPECT_EQ(f.server.SnapshotState(), before);
+  EXPECT_TRUE(f.server.applications().Get(live.value().app).ok());
+  EXPECT_TRUE(f.server.ProcessAllData().ok());
+  EXPECT_TRUE(f.server.DeployApplication(TestAppSpec()).ok());
 }
 
 TEST(CrashRecovery, CorruptSnapshotRejectedWithoutStateChange) {

@@ -44,9 +44,9 @@ struct FieldTestConfig {
   bool leave_at_end = true;            // send LeaveNotifications at tE
   // Incremental replanning (docs/performance.md): joins/leaves are planned
   // as deltas against per-app residual-coverage state and only changed
-  // schedules are distributed. false selects the cold-replan oracle —
-  // byte-identical plans rebuilt from the commit log every reschedule; the
-  // determinism tests hold the two modes bitwise equal.
+  // schedules are distributed. false replays q from the whole commit log on
+  // every leave instead of repairing it locally (SchedulerOptions) — the
+  // same plans; the cold-replan oracle is tests/planner_oracle.hpp.
   bool incremental_scheduling = true;
 
   // --- sharded runtime (docs/runtime.md) ---------------------------------
@@ -64,9 +64,10 @@ struct FieldTestConfig {
   // (fewer intermediate schedules), so it is opt-in; large benches use it.
   bool defer_setup_reschedules = false;
   // Streaming feature extraction (docs/performance.md): per-app
-  // accumulators fed only by new uploads. false selects the
-  // decode-everything recompute — bit-identical results, the equivalence
-  // tests rely on it as the oracle.
+  // accumulators fed only by new uploads. false resets each app's
+  // accumulator to cursor 0 before every pass (DataProcessorOptions) — the
+  // same feature rows; the decode-everything oracle is
+  // tests/processor_oracle.hpp.
   bool incremental_processing = true;
 
   // --- chaos harness -----------------------------------------------------

@@ -109,9 +109,9 @@ struct GreedyState {
   }
 };
 
-// The Minoux lazy loop over a pre-seeded heap; shared by the full plan and
-// the warm-start delta placement.
-ScheduleResult RunLazy(GreedyState& st, bool full_grid_candidates) {
+// The Minoux lazy loop; shared by the full plan and the warm-start delta
+// placement.
+ScheduleResult RunLazy(GreedyState& st) {
   // Max-heap of (possibly stale gain, instant). Staleness is resolved by
   // re-evaluating the popped candidate and re-inserting if it no longer
   // dominates; submodularity guarantees gains never grow, so a fresh value
@@ -127,7 +127,7 @@ ScheduleResult RunLazy(GreedyState& st, bool full_grid_candidates) {
     // Skipping exhausted instants changes which candidates get evaluated but
     // never which get committed: budgets only shrink during a run, so an
     // instant with no feasible user now never gains one later.
-    if (!full_grid_candidates && !st.matroid.InstantFeasible(i)) continue;
+    if (!st.matroid.InstantFeasible(i)) continue;
     heap.emplace(st.Gain(i), i);
   }
 
@@ -216,15 +216,14 @@ Result<ScheduleResult> GreedySchedule(const Problem& p) {
 Result<ScheduleResult> LazyGreedySchedule(const Problem& p) {
   if (Status s = p.Validate(); !s.ok()) return s.error();
   GreedyState st(p);
-  return RunLazy(st, /*full_grid_candidates=*/true);
+  return RunLazy(st);
 }
 
 Result<ScheduleResult> LazyGreedyPlaceDelta(const Problem& p,
-                                            std::vector<double>& q,
-                                            bool full_grid_candidates) {
+                                            std::vector<double>& q) {
   if (Status s = ValidateDelta(p, q); !s.ok()) return s.error();
   GreedyState st(p, q);
-  return RunLazy(st, full_grid_candidates);
+  return RunLazy(st);
 }
 
 Result<ScheduleResult> GreedyPlaceDelta(const Problem& p,

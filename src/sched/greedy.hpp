@@ -1,5 +1,5 @@
 // Algorithm 1 — the online greedy sensing scheduler (§III) — plus a lazy
-// (Minoux) variant used as an efficiency ablation.
+// (Minoux) variant, the one the online planner places with.
 //
 // All variants maximize the combined coverage objective (Eq. 4) over the
 // budget matroid and therefore inherit the 1/2-approximation guarantee of
@@ -15,6 +15,7 @@
 //   * LazyGreedySchedule — Minoux lazy evaluation with a max-heap of stale
 //     gains; valid because marginal gains only shrink as the schedule grows
 //     (submodularity). Identical objective value, far fewer evaluations.
+//     The heap holds only instants some user can still take.
 //
 // Determinism: ties in gain break toward the lower instant index, and the
 // user charged for a pick is BudgetMatroid::PickUserFor's deterministic
@@ -45,19 +46,15 @@ struct ScheduleResult {
 // vector `q` = Π(1−p) over every previously committed measurement. `q` must
 // have one entry per grid instant; it is updated in place with the new
 // commits, so the caller can carry it into the next delta round. The
-// reported objective is the coverage the new picks add on top of `q`.
-//
-// `full_grid_candidates` selects how the lazy heap is seeded: true evaluates
-// every instant (the cold-replan oracle shape), false only instants some
-// delta user can still take (O(delta) work). The committed picks are
-// identical either way — instants outside every delta window never have a
-// feasible user, so the oracle pops and drops them — which is exactly the
-// incremental-vs-oracle parity contract; only gain_evaluations differ.
+// reported objective is the coverage the new picks add on top of `q`. The
+// lazy heap is seeded only with instants some delta user can take, so the
+// work is O(delta windows), not O(grid).
 [[nodiscard]] Result<ScheduleResult> LazyGreedyPlaceDelta(
-    const Problem& p, std::vector<double>& q, bool full_grid_candidates);
+    const Problem& p, std::vector<double>& q);
 
-// Eager variant of the same warm start (for --scheduler greedy): identical
-// picks, more gain evaluations.
+// Eager variant of the same warm start: identical picks, more gain
+// evaluations. The reference the lazy placement and the test-side
+// cold-replan oracle (tests/planner_oracle.hpp) are held to.
 [[nodiscard]] Result<ScheduleResult> GreedyPlaceDelta(const Problem& p,
                                                       std::vector<double>& q);
 

@@ -132,23 +132,16 @@ Result<IncrementalPlanner::DeltaResult> IncrementalPlanner::ApplyDelta(
     member_commits_.erase(it);
   }
 
-  if (opts_.incremental && !killed_instants.empty()) {
+  if (!killed_instants.empty()) {
     const int sup = kernel_->support();
     const double affected_bound = static_cast<double>(killed_instants.size()) *
                                   static_cast<double>(2 * sup + 1);
     if (affected_bound >
         opts_.rebuild_fraction * static_cast<double>(num_instants())) {
       ReplayQ();
-      out.rebuilt_q = true;
     } else {
       RepairQAround(killed_instants);
     }
-  }
-  // Oracle mode rebuilds ALL derived state on every delta — this is the
-  // cold replan the incremental path is held byte-identical to.
-  if (!opts_.incremental) {
-    ReplayQ();
-    out.rebuilt_q = true;
   }
 
   // --- then joins: one greedy run over just the arriving members ---------
@@ -190,11 +183,8 @@ Result<IncrementalPlanner::DeltaResult> IncrementalPlanner::ApplyDelta(
 
   Result<ScheduleResult> placed = [&]() {
     switch (opts_.algorithm) {
-      case PlacementAlgorithm::kGreedy:
-        return GreedyPlaceDelta(prob, q_);
       case PlacementAlgorithm::kLazyGreedy:
-        return LazyGreedyPlaceDelta(prob, q_,
-                                    /*full_grid_candidates=*/!opts_.incremental);
+        return LazyGreedyPlaceDelta(prob, q_);
       case PlacementAlgorithm::kPeriodic: {
         // The baseline ignores coverage; its per-member picks depend only on
         // the member's own window, so placing deltas is exact.

@@ -25,11 +25,11 @@
 // grid, one full replay is cheaper than per-instant gathering — same bits,
 // different cost.
 //
-// Oracle mode (`Options::incremental = false`, PR-5 style): every ApplyDelta
-// rebuilds q by replaying the whole log and seeds the placement heap over
-// the full grid. Identical picks, objectives and plans by construction;
-// only gain_evaluations (and wall time) differ. tests/test_determinism.cpp
-// holds the two modes byte-identical across the chaos/churn matrices.
+// The cold replan these plans are held to lives in test code
+// (tests/planner_oracle.hpp): it replays q from its own commit log on every
+// delta and places joins with the eager GreedyPlaceDelta over the full grid.
+// tests/test_sched.cpp and tests/test_determinism.cpp hold the planner to
+// it bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,7 @@
 namespace sor::sched {
 
 enum class PlacementAlgorithm {
-  kGreedy,      // eager gain cache (Algorithm 1 shape)
-  kLazyGreedy,  // Minoux heap — the default
+  kLazyGreedy,  // Minoux heap over the residual coverage — the default
   kPeriodic,    // §V-C baseline: fixed cadence from arrival, ignores q
 };
 
@@ -55,10 +54,9 @@ class IncrementalPlanner {
     double sigma_s = 10.0;
     double support_sigmas = 5.0;
     PlacementAlgorithm algorithm = PlacementAlgorithm::kLazyGreedy;
-    // false = cold-replan oracle: rebuild all derived state per delta.
-    bool incremental = true;
     // Leave repair: above this fraction of affected grid instants, rebuild
     // q from the full log instead of gathering per-instant factor lists.
+    // 0 replays the whole log on every leave that kills a pick.
     double rebuild_fraction = 0.25;
   };
 
@@ -87,7 +85,6 @@ class IncrementalPlanner {
     // Coverage added by this delta's placements (leaves not subtracted).
     double objective = 0.0;
     std::uint64_t gain_evaluations = 0;
-    bool rebuilt_q = false;  // a full log replay happened this call
     // Per departed member: the picks that SURVIVED the leave (executed
     // before the cutoff). The caller rewrites the member's durable schedule
     // row to exactly these, so a restore replays only sunk coverage.

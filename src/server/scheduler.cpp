@@ -50,25 +50,13 @@ Status SensingScheduler::RescheduleApp(const ApplicationRecord& app,
                         samples_per_window);
 }
 
-sched::PlacementAlgorithm SensingScheduler::placement_algorithm() const {
-  switch (algorithm_) {
-    case SchedulerAlgorithm::kGreedy:
-      return sched::PlacementAlgorithm::kGreedy;
-    case SchedulerAlgorithm::kLazyGreedy:
-      return sched::PlacementAlgorithm::kLazyGreedy;
-    case SchedulerAlgorithm::kPeriodic:
-      return sched::PlacementAlgorithm::kPeriodic;
-  }
-  return sched::PlacementAlgorithm::kLazyGreedy;
-}
-
 void SensingScheduler::EnsurePlanState(const ApplicationRecord& app) {
   auto it = plan_states_.find(app.id.value());
   if (it != plan_states_.end()) return;
   sched::IncrementalPlanner::Options opts;
   opts.sigma_s = app.spec.sigma_s;
-  opts.algorithm = placement_algorithm();
-  opts.incremental = options_.incremental;
+  opts.algorithm = algorithm_;
+  if (!options_.incremental) opts.rebuild_fraction = 0.0;
   PlanState st;
   st.planner = std::make_unique<sched::IncrementalPlanner>(
       MakeInstantGrid(app.spec.period, app.spec.n_instants), opts);

@@ -20,9 +20,8 @@
 // prefix). Since placed picks never move, only the CHANGED tasks are
 // re-sent: a join reads and pushes O(1) schedules instead of O(fleet), and
 // the schedules table holds one row per task instead of one per (task,
-// replan). `SchedulerOptions::incremental = false` keeps the cold-replan
-// oracle: every delta rebuilds the planner's derived state from its durable
-// commit log — identical picks and identical distribution by construction.
+// replan). The cold replan the planner is held to is test code
+// (tests/planner_oracle.hpp), attached through set_delta_observer.
 #pragma once
 
 #include <cstdint>
@@ -42,15 +41,14 @@
 
 namespace sor::server {
 
-enum class SchedulerAlgorithm {
-  kGreedy,       // Algorithm 1 (incremental-gain implementation)
-  kLazyGreedy,   // Minoux variant — same picks, fewer evaluations (default)
-  kPeriodic,     // §V-C baseline, for head-to-head system experiments
-};
+// Lazy greedy (the default) or the §V-C periodic baseline, for
+// head-to-head system experiments.
+using SchedulerAlgorithm = sched::PlacementAlgorithm;
 
 struct SchedulerOptions {
-  // false = cold-replan oracle: rebuild all derived planning state from the
-  // commit log on every reschedule. Bit-identical plans, O(fleet) work.
+  // false replays each app's q from its whole commit log on every leave
+  // (the planner's rebuild_fraction = 0), as a restore does. Same plans
+  // either way.
   bool incremental = true;
 };
 
@@ -196,7 +194,6 @@ class SensingScheduler {
     std::map<std::uint64_t, std::uint64_t> row_of;  // task → schedules row pk
   };
 
-  [[nodiscard]] sched::PlacementAlgorithm placement_algorithm() const;
   void PersistTaskRow(PlanState& st, std::uint64_t task, std::uint64_t app,
                       const std::vector<sched::IncrementalPlanner::Pick>& picks,
                       const std::vector<SimTime>& grid);

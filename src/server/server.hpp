@@ -96,10 +96,12 @@ class SensingServer final : public net::Endpoint {
 
   // Run the Data Processor over every application (the "periodic check").
   // With an executor attached, apps are processed in parallel: each app's
-  // row set is disjoint and the table locks are shared for reads, so the
-  // only cross-app state is the stats counters, which merge under a mutex.
-  // Results (features, accumulator cursors, returned total) are independent of
-  // thread count. Each call's wall time lands in the "processor.pass_ns"
+  // row set is disjoint and reads take the table locks shared. Each app
+  // counts into its own stats sink, folded in app order after the barrier;
+  // the one table every app writes is feature_data, whose rows change under
+  // the table's exclusive lock and whose writes() counter is atomic.
+  // Results (features, accumulator cursors, returned total) are independent
+  // of thread count. Each call's wall time lands in the "processor.pass_ns"
   // histogram of the attached registry (telemetry only, never traced).
   Result<int> ProcessAllData();
 

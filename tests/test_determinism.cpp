@@ -13,6 +13,7 @@
 
 #include "core/fleet.hpp"
 #include "core/system.hpp"
+#include "planner_oracle.hpp"
 
 namespace sor::core {
 namespace {
@@ -209,12 +210,13 @@ TEST(Determinism, ThrottleScheduleIdenticalAcrossThreadCounts) {
   }
 }
 
-// Run with tracing on and fold the trace fingerprint into the string: the
-// incremental planner must not only produce the same rankings and counters
-// as the cold-replan oracle, it must emit the same kSchedulePlanned /
-// kScheduleCommitted / kScheduleDistributed event stream, byte for byte.
-// (gain_evaluations legitimately differ between the modes; Fingerprint()
-// deliberately excludes scheduler stats.)
+// Run with tracing on and fold the trace fingerprint into the string: local
+// q repair (incremental) and whole-log replay on every leave (not) must
+// produce the same rankings and counters, and emit the same
+// kSchedulePlanned / kScheduleCommitted / kScheduleDistributed event
+// stream, byte for byte. Beside every plan of the run, the cold-replan
+// oracle (tests/planner_oracle.hpp) must hold the app's pre-delta members,
+// picks with their seqs, and total coverage.
 std::string RunModeFingerprint(const world::Scenario& scenario,
                                FieldTestConfig config, int threads,
                                bool incremental) {
@@ -222,18 +224,23 @@ std::string RunModeFingerprint(const world::Scenario& scenario,
   config.incremental_scheduling = incremental;
   config.trace = true;
   System system;
+  sched::oracle::SchedulerLockstep oracle;
+  oracle.Attach(system.server().scheduler());
   Result<FieldTestResult> run = system.RunFieldTest(scenario, config);
   EXPECT_TRUE(run.ok()) << run.error().str();
+  EXPECT_GT(oracle.plans(), 0u);
+  EXPECT_EQ(oracle.mismatch_count(), 0u);
+  for (const std::string& m : oracle.mismatches()) ADD_FAILURE() << m;
   if (!run.ok()) return "<error>";
   return Fingerprint(run.value()) +
          "\ntrace:" + std::to_string(run.value().trace_fingerprint);
 }
 
 TEST(Determinism, IncrementalMatchesColdReplanAcrossMatrix) {
-  // The tentpole's correctness contract: warm-started O(delta) planning is
-  // a pure optimization. Over the full determinism matrix the incremental
-  // planner and the cold-replan oracle produce identical fingerprints —
-  // including the trace — at every thread count.
+  // Warm-started O(delta) planning is a pure optimization. Over the full
+  // determinism matrix both leave-repair modes produce identical
+  // fingerprints — including the trace — at every thread count, and every
+  // plan matches the cold-replan oracle.
   const world::Scenario scenarios[] = {SmallCoffee(), SmallTrail()};
   int which = 0;
   for (const world::Scenario& scenario : scenarios) {
@@ -252,7 +259,7 @@ TEST(Determinism, IncrementalMatchesColdReplanAcrossMatrix) {
 
 TEST(Determinism, IncrementalMatchesColdReplanUnderChaos) {
   // Chaos faults make distribution fail mid-plan and trigger resyncs; the
-  // incremental planner must still track the oracle bit for bit.
+  // planner must still track the cold-replan oracle bit for bit.
   const world::Scenario scenario = SmallCoffee();
   FieldTestConfig config = SmallConfig(3);
   net::FaultRule lossy;
@@ -273,12 +280,17 @@ TEST(Determinism, IncrementalMatchesColdReplanUnderChaos) {
 TEST(Determinism, IncrementalMatchesColdReplanUnderChurn) {
   // Node churn exercises the leave path: crashes and uninstalls force the
   // planner through support-local repair (incremental) vs full q replay
-  // (oracle). Those must agree numerically to the last bit, or rankings
-  // diverge here first.
+  // (not), and the oracle replays q from scratch at every plan. All three
+  // must agree numerically to the last bit, or rankings diverge here first.
+  // At σ = 60 s a single killed pick's support already exceeds the
+  // planner's rebuild_fraction of the 120-instant grid, so every leave
+  // replays; σ = 15 s keeps one or two kills below it and runs the local
+  // repair.
   const world::Scenario scenario = SmallCoffee();
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE("node seed " + std::to_string(seed));
     FieldTestConfig config = SmallConfig(7);
+    if (seed > 5) config.sigma_s = 15.0;
     net::NodeFaultRule phones;
     phones.endpoint = "phone:*";
     phones.crash = 0.01;

@@ -14,6 +14,7 @@
 #include "sched/greedy.hpp"
 #include "sched/incremental.hpp"
 #include "sched/matroid.hpp"
+#include "planner_oracle.hpp"
 
 namespace sor::sched {
 namespace {
@@ -440,54 +441,48 @@ Problem RandomDelta(Rng& rng, int n_instants, double period_s) {
 }
 
 TEST(Greedy, EagerAndLazyDeltaPickParity) {
-  // --scheduler greedy and --scheduler lazy must commit the SAME picks in
-  // the SAME order — the lazy heap is an efficiency change only. Checked
-  // over two delta waves so the second wave places against nontrivial
-  // residual coverage, where stale heap entries actually occur.
+  // The eager placement (the cold-replan oracle's) and the lazy one (the
+  // planner's) must commit the SAME picks in the SAME order — the lazy heap
+  // is an efficiency change only. Checked over two delta waves so the
+  // second wave places against nontrivial residual coverage, where stale
+  // heap entries actually occur.
   Rng rng(71);
   for (int round = 0; round < 10; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     std::vector<double> q_eager(60, 1.0);
     std::vector<double> q_lazy = q_eager;
-    std::vector<double> q_oracle = q_eager;
     Rng wave_rng = rng.fork();
     for (int wave = 0; wave < 2; ++wave) {
       SCOPED_TRACE("wave " + std::to_string(wave));
       const Problem p = RandomDelta(wave_rng, 60, 600.0);
       Result<ScheduleResult> eager = GreedyPlaceDelta(p, q_eager);
-      Result<ScheduleResult> lazy =
-          LazyGreedyPlaceDelta(p, q_lazy, /*full_grid_candidates=*/false);
-      Result<ScheduleResult> oracle =
-          LazyGreedyPlaceDelta(p, q_oracle, /*full_grid_candidates=*/true);
+      Result<ScheduleResult> lazy = LazyGreedyPlaceDelta(p, q_lazy);
       ASSERT_TRUE(eager.ok());
       ASSERT_TRUE(lazy.ok());
-      ASSERT_TRUE(oracle.ok());
       // Identical commit sequences...
       EXPECT_EQ(eager.value().insertion_order, lazy.value().insertion_order);
-      EXPECT_EQ(lazy.value().insertion_order, oracle.value().insertion_order);
       // ...and bitwise-identical residual coverage carried to the next wave.
       EXPECT_EQ(q_eager, q_lazy);
-      EXPECT_EQ(q_lazy, q_oracle);
-      // The windowed heap seeding may only SAVE evaluations.
+      // The windowed lazy heap may only SAVE evaluations.
       EXPECT_LE(lazy.value().gain_evaluations,
-                oracle.value().gain_evaluations);
+                eager.value().gain_evaluations);
     }
   }
 }
 
-IncrementalPlanner::Options PlannerOpts(bool incremental,
-                                        double rebuild_fraction = 0.25) {
+IncrementalPlanner::Options PlannerOpts(double rebuild_fraction = 0.25) {
   IncrementalPlanner::Options o;
   o.sigma_s = 10.0;
-  o.incremental = incremental;
   o.rebuild_fraction = rebuild_fraction;
   return o;
 }
 
 // Drive two planners through an identical churn history and require
-// byte-identical observable state after every delta.
-void ExpectLockstep(IncrementalPlanner& a, IncrementalPlanner& b,
-                    std::uint64_t seed, std::int64_t first_member) {
+// byte-identical observable state after every delta. `b` is another
+// IncrementalPlanner or the cold-replan oracle.
+template <typename Planner>
+void ExpectLockstep(IncrementalPlanner& a, Planner& b, std::uint64_t seed,
+                    std::int64_t first_member) {
   Rng rng(seed);
   std::vector<std::int64_t> active;
   std::int64_t next_member = first_member;
@@ -537,15 +532,16 @@ void ExpectLockstep(IncrementalPlanner& a, IncrementalPlanner& b,
 }
 
 TEST(Incremental, ChurnMatchesColdReplanOracle) {
-  // The tentpole parity contract: incremental q maintenance + windowed heap
-  // seeding produce bit-for-bit the plans of a full cold replan from the
-  // commit log, across random join/leave churn.
+  // The planner's parity contract: incremental q maintenance + windowed
+  // lazy heap seeding produce bit-for-bit the plans of a full cold replan
+  // from the commit log (tests/planner_oracle.hpp), across random
+  // join/leave churn.
   std::vector<SimTime> grid = Problem::UniformGrid(600.0, 60, 10.0).grid;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    IncrementalPlanner inc(grid, PlannerOpts(true));
-    IncrementalPlanner oracle(grid, PlannerOpts(false));
-    ExpectLockstep(inc, oracle, seed, 100);
+    IncrementalPlanner inc(grid, PlannerOpts());
+    oracle::ColdReplan cold(grid, 10.0);
+    ExpectLockstep(inc, cold, seed, 100);
   }
 }
 
@@ -556,8 +552,8 @@ TEST(Incremental, LeaveRepairModesBitwiseEqual) {
   std::vector<SimTime> grid = Problem::UniformGrid(600.0, 60, 10.0).grid;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    IncrementalPlanner always_rebuild(grid, PlannerOpts(true, 0.0));
-    IncrementalPlanner always_local(grid, PlannerOpts(true, 1e9));
+    IncrementalPlanner always_rebuild(grid, PlannerOpts(0.0));
+    IncrementalPlanner always_local(grid, PlannerOpts(1e9));
     ExpectLockstep(always_rebuild, always_local, seed, 300);
   }
 }
@@ -567,7 +563,7 @@ TEST(Incremental, RestoreRebuildsEquivalentState) {
   // FinishRestore) must behave bitwise like the uninterrupted original on
   // every subsequent delta.
   std::vector<SimTime> grid = Problem::UniformGrid(600.0, 60, 10.0).grid;
-  IncrementalPlanner live(grid, PlannerOpts(true));
+  IncrementalPlanner live(grid, PlannerOpts());
   std::vector<IncrementalPlanner::Join> wave1 = {
       {1, SimInterval{SimTime::FromSeconds(0), SimTime::FromSeconds(600)}, 5},
       {2, SimInterval{SimTime::FromSeconds(100), SimTime::FromSeconds(500)},
@@ -576,7 +572,7 @@ TEST(Incremental, RestoreRebuildsEquivalentState) {
        3}};
   ASSERT_TRUE(live.ApplyDelta({}, wave1).ok());
 
-  IncrementalPlanner restored(grid, PlannerOpts(true));
+  IncrementalPlanner restored(grid, PlannerOpts());
   for (std::int64_t m : live.Members()) {
     restored.RestoreMember(m);
     for (const IncrementalPlanner::Pick& pick : live.PicksOf(m))
@@ -594,7 +590,7 @@ TEST(Incremental, RestoreRebuildsEquivalentState) {
 
 TEST(Incremental, RejoinOfKnownMemberRejected) {
   std::vector<SimTime> grid = Problem::UniformGrid(600.0, 60, 10.0).grid;
-  IncrementalPlanner planner(grid, PlannerOpts(true));
+  IncrementalPlanner planner(grid, PlannerOpts());
   const std::vector<IncrementalPlanner::Join> join = {
       {7, SimInterval{SimTime::FromSeconds(0), SimTime::FromSeconds(600)},
        3}};

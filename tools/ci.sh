@@ -13,8 +13,9 @@
 # notice otherwise — the container image does not ship it.
 #
 # A ThreadSanitizer stage always runs the multi-threaded tests (the
-# determinism contract and the chaos suite drive the sharded runtime with
-# threads > 1); pass --with-tsan to run the FULL suite under TSan too.
+# determinism contract, the chaos suite and the plan oracles drive the
+# sharded runtime with threads > 1); pass --with-tsan to run the FULL suite
+# under TSan too.
 #
 # Usage: tools/ci.sh [--with-tsan]
 set -euo pipefail
@@ -197,6 +198,17 @@ if [[ -x "${SOR_BIN}" ]]; then
   grep -q "phoens" "${serve_dir}/badflag.log" \
     || { echo "ci: unknown-flag error does not name the flag" >&2; exit 1; }
   echo "ci: unknown flags rejected with the offending name"
+  # An unknown scheduler value is refused the same way, naming the values
+  # that are accepted.
+  if "${SOR_BIN}" fieldtest --scenario trails --scheduler greedy \
+       > "${serve_dir}/badsched.log" 2>&1; then
+    echo "ci: unknown scheduler was accepted" >&2
+    exit 1
+  fi
+  grep -q "lazy|periodic" "${serve_dir}/badsched.log" \
+    || { echo "ci: unknown-scheduler error does not name lazy|periodic" >&2
+         exit 1; }
+  echo "ci: unknown scheduler rejected with the accepted values"
   rm -rf "${serve_dir}"
 else
   echo "ci: ${SOR_BIN} not built; daemon covered by Daemon.* tests" >&2
@@ -321,9 +333,10 @@ if [[ "${FULL_TSAN}" == "1" ]]; then
 else
   # Default stage: only the tests that exercise threads > 1 — the
   # determinism contract and the chaos battery on the parallel runtime,
-  # and tasks on two threads executing the one module they share.
+  # the plan oracles' delta observers on FlushReschedules workers, and
+  # tasks on two threads executing the one module they share.
   cmake --build --preset tsan -j "$(nproc)" \
-    --target test_determinism test_chaos test_phone
+    --target test_determinism test_chaos test_plan_oracle test_phone
   ctest --preset tsan -j "$(nproc)" \
-    -R 'Determinism\.|Chaos\.|TaskCompileCache\.ConcurrentTasks'
+    -R 'Determinism\.|Chaos\.|PlanOracle\.|TaskCompileCache\.ConcurrentTasks'
 fi

@@ -90,7 +90,7 @@ int Usage() {
       "  sor help\n\n"
       "addresses: unix:/path/to.sock or tcp:HOST:PORT\n"
       "methods:   mcmf (default), hungarian, kemeny, borda\n"
-      "schedulers: lazy (default), greedy, periodic\n");
+      "schedulers: lazy (default), periodic\n");
   return 2;
 }
 
@@ -139,10 +139,9 @@ Result<rank::AggregationMethod> MethodByName(const std::string& name) {
 Result<server::SchedulerAlgorithm> SchedulerByName(const std::string& name) {
   if (name == "lazy" || name.empty())
     return server::SchedulerAlgorithm::kLazyGreedy;
-  if (name == "greedy") return server::SchedulerAlgorithm::kGreedy;
   if (name == "periodic") return server::SchedulerAlgorithm::kPeriodic;
   return Error{Errc::kInvalidArgument,
-               "unknown scheduler '" + name + "' (greedy|lazy|periodic)"};
+               "unknown scheduler '" + name + "' (lazy|periodic)"};
 }
 
 bool WriteFileOrStdout(const std::string& path, const std::string& content,

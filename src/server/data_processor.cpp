@@ -18,23 +18,29 @@ constexpr int kRawBodyCol = 3;
 
 }  // namespace
 
-void DataProcessor::AttachObservability(obs::MetricsRegistry* registry,
+void DataProcessor::AttachObservability(obs::MetricsRegistry& registry,
                                         obs::Tracer* tracer) {
   tracer_ = tracer;
-  if (registry == nullptr) {
-    obs_ = ProcessorCounters{};
-    return;
-  }
   const auto per_thread = obs::Sharding::kPerThread;
   obs_.blobs_decoded =
-      &registry->counter("processor.blobs_decoded", per_thread);
+      &registry.counter("processor.blobs_decoded", per_thread);
   obs_.blobs_rejected =
-      &registry->counter("processor.blobs_rejected", per_thread);
+      &registry.counter("processor.blobs_rejected", per_thread);
   obs_.tuples_processed =
-      &registry->counter("processor.tuples_processed", per_thread);
+      &registry.counter("processor.tuples_processed", per_thread);
   obs_.features_written =
-      &registry->counter("processor.features_written", per_thread);
-  obs_.apps_skipped = &registry->counter("processor.apps_skipped", per_thread);
+      &registry.counter("processor.features_written", per_thread);
+  obs_.apps_skipped = &registry.counter("processor.apps_skipped", per_thread);
+}
+
+DataProcessorStats DataProcessor::stats() const {
+  DataProcessorStats s;
+  s.blobs_decoded = obs_.blobs_decoded->value();
+  s.blobs_rejected = obs_.blobs_rejected->value();
+  s.tuples_processed = obs_.tuples_processed->value();
+  s.features_written = obs_.features_written->value();
+  s.apps_skipped = obs_.apps_skipped->value();
+  return s;
 }
 
 void DataProcessor::NoteUploadStored(AppId app, std::int64_t raw_id) {
@@ -108,8 +114,7 @@ void DataProcessor::PersistState() {
 }
 
 Result<int> DataProcessor::ProcessApp(const ApplicationRecord& app,
-                                      SimTime now,
-                                      DataProcessorStats* sink) {
+                                      SimTime now) {
   Table* raw = db_.table(db::tables::kRawData);
   Table* features = db_.table(db::tables::kFeatureData);
   if (!raw || !features)
@@ -134,9 +139,7 @@ Result<int> DataProcessor::ProcessApp(const ApplicationRecord& app,
                                return false;
                              });
     if (features_exist) {
-      DataProcessorStats local;
-      ++local.apps_skipped;
-      Accumulate(local, sink);
+      obs_.apps_skipped->Inc();
       return 0;
     }
     // No uploads yet but no features either: fall through and write the
@@ -157,10 +160,9 @@ Result<int> DataProcessor::ProcessApp(const ApplicationRecord& app,
 
   // Fold in only the blobs past the cursor, in raw_id (arrival) order, so
   // order-dependent accumulators (Welford) match a decode-everything
-  // recompute bit-for-bit. Stats accumulate locally and settle once at the
-  // end (into the caller's per-app sink when running concurrently) so
-  // per-app calls never contend. A pass writes nothing to raw_data: the
-  // cursor is the processed watermark.
+  // recompute bit-for-bit. Counts tally locally and flush once at the end,
+  // so per-app calls touch the shared counters once each. A pass writes
+  // nothing to raw_data: the cursor is the processed watermark.
   DataProcessorStats local;
   // One upload, decoded into again for every blob: its tuples' vectors
   // keep their capacity, so the pass allocates only for a new largest blob.
@@ -202,7 +204,7 @@ Result<int> DataProcessor::ProcessApp(const ApplicationRecord& app,
          Value(app.spec.place.value()), Value(defs[j].name), Value(value),
          Value(static_cast<std::int64_t>(n_samples)), Value(now.ms)});
     if (!r.ok()) {
-      Accumulate(local, sink);
+      FlushCounters(local);
       return r.error();
     }
     ++local.features_written;
@@ -221,29 +223,15 @@ Result<int> DataProcessor::ProcessApp(const ApplicationRecord& app,
     tracer_->Emit(stream, now, obs::EventKind::kAppProcessed, app.id.value(),
                   static_cast<std::uint64_t>(written));
   }
-  Accumulate(local, sink);
+  FlushCounters(local);
   return written;
 }
 
-void DataProcessor::Accumulate(const DataProcessorStats& local,
-                               DataProcessorStats* sink) {
-  FlushCounters(local);
-  if (sink != nullptr) {
-    *sink += local;  // caller-owned cell; folded in later via MergeStats
-  } else {
-    stats_ += local;  // serial context: no other writer exists
-  }
-}
-
 void DataProcessor::FlushCounters(const DataProcessorStats& local) {
-  if (obs_.blobs_decoded == nullptr) return;
-  if (local.blobs_decoded > 0) obs_.blobs_decoded->Inc(local.blobs_decoded);
-  if (local.blobs_rejected > 0) obs_.blobs_rejected->Inc(local.blobs_rejected);
-  if (local.tuples_processed > 0)
-    obs_.tuples_processed->Inc(local.tuples_processed);
-  if (local.features_written > 0)
-    obs_.features_written->Inc(local.features_written);
-  if (local.apps_skipped > 0) obs_.apps_skipped->Inc(local.apps_skipped);
+  obs_.blobs_decoded->Inc(local.blobs_decoded);
+  obs_.blobs_rejected->Inc(local.blobs_rejected);
+  obs_.tuples_processed->Inc(local.tuples_processed);
+  obs_.features_written->Inc(local.features_written);
 }
 
 Result<double> DataProcessor::FeatureValue(AppId app,

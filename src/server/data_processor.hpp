@@ -39,6 +39,8 @@
 
 namespace sor::server {
 
+// A view over the "processor.*" counters of the processor's registry (one
+// ProcessApp call also tallies into one before flushing it there).
 struct DataProcessorStats {
   std::uint64_t blobs_decoded = 0;
   std::uint64_t blobs_rejected = 0;  // malformed bodies (decode failures)
@@ -47,15 +49,6 @@ struct DataProcessorStats {
   // Periodic checks that found nothing new for an app and skipped it (the
   // per-app stored/processed watermarks make this an O(1) probe).
   std::uint64_t apps_skipped = 0;
-
-  DataProcessorStats& operator+=(const DataProcessorStats& o) {
-    blobs_decoded += o.blobs_decoded;
-    blobs_rejected += o.blobs_rejected;
-    tuples_processed += o.tuples_processed;
-    features_written += o.features_written;
-    apps_skipped += o.apps_skipped;
-    return *this;
-  }
 };
 
 struct DataProcessorOptions {
@@ -73,9 +66,12 @@ struct DataProcessorOptions {
 
 class DataProcessor {
  public:
-  explicit DataProcessor(db::Database& database,
-                         DataProcessorOptions options = {})
-      : db_(database), options_(options) {}
+  // Counts land in `registry` until AttachObservability rebinds them.
+  DataProcessor(db::Database& database, obs::MetricsRegistry& registry,
+                DataProcessorOptions options = {})
+      : db_(database), options_(options) {
+    AttachObservability(registry, nullptr);
+  }
 
   [[nodiscard]] const DataProcessorOptions& options() const {
     return options_;
@@ -87,17 +83,10 @@ class DataProcessor {
   // watermarks show nothing new and the app's features are already in the
   // database, the call is a cheap no-op. Safe to run concurrently for
   // *different* apps: row sets and accumulator states are disjoint per
-  // app, and each call's stats accumulate into `sink` — a caller-owned,
-  // per-app cell — instead of a shared total, so concurrent calls never
-  // contend. The caller folds the sinks back in app order via MergeStats()
-  // after its barrier (Server::ProcessAllData does); a null sink (the
-  // serial/standalone case) accumulates straight into stats().
-  Result<int> ProcessApp(const ApplicationRecord& app, SimTime now,
-                         DataProcessorStats* sink = nullptr);
-
-  // Fold one ProcessApp call's sink into the aggregate stats(). Driver
-  // thread only, after all concurrent ProcessApp calls completed.
-  void MergeStats(const DataProcessorStats& sink) { stats_ += sink; }
+  // app, and each call tallies its counts locally and flushes them once
+  // into the per-thread sharded "processor.*" counters. Those sums do not
+  // depend on order, so stats() after a parallel pass equals the serial one.
+  Result<int> ProcessApp(const ApplicationRecord& app, SimTime now);
 
   // Upload-store-time hook: the server calls this when a raw row for `app`
   // is inserted, advancing the app's stored watermark so ProcessApp can
@@ -132,14 +121,17 @@ class DataProcessor {
       const std::vector<ApplicationRecord>& apps,
       const std::vector<rank::FeatureSpec>& feature_specs) const;
 
-  [[nodiscard]] const DataProcessorStats& stats() const { return stats_; }
+  // Read from the "processor.*" counters, so it sees only counts made since
+  // the last rebind (and since the registry's last Reset()).
+  [[nodiscard]] DataProcessorStats stats() const;
 
-  // Hook into the shared telemetry: "processor.*" counters are per-thread
-  // sharded (ProcessApp runs concurrently across apps); trace events land
-  // on one stream per app. Those streams MUST be pre-registered serially
-  // (StreamNameForApp) before any parallel ProcessApp — the server facade
-  // does this in ProcessAllData — so stream ids are thread-count invariant.
-  void AttachObservability(obs::MetricsRegistry* registry,
+  // Rebind the "processor.*" counters (per-thread sharded: ProcessApp runs
+  // concurrently across apps) to `registry`; counts already made stay in
+  // the old one. Trace events land on one stream per app. Those streams
+  // MUST be pre-registered serially (StreamNameForApp) before any parallel
+  // ProcessApp — the server facade does this in ProcessAllData — so stream
+  // ids are thread-count invariant.
+  void AttachObservability(obs::MetricsRegistry& registry,
                            obs::Tracer* tracer);
   [[nodiscard]] static std::string StreamNameForApp(AppId app) {
     return "processor:app:" + std::to_string(app.value());
@@ -162,16 +154,11 @@ class DataProcessor {
   // processor_state table (or creating it fresh) on first touch.
   AppAccumulatorState* GetOrLoadState(AppId app, std::size_t n_features);
 
-  // Add one ProcessApp call's local stats to the registry counters.
+  // Add one ProcessApp call's local tally to the registry counters.
   void FlushCounters(const DataProcessorStats& local);
-  // Settle one call's local stats: registry counters (per-thread sharded),
-  // then the caller's sink — or, with no sink, the aggregate directly (the
-  // serial case; concurrent callers must pass a sink).
-  void Accumulate(const DataProcessorStats& local, DataProcessorStats* sink);
 
   db::Database& db_;
   DataProcessorOptions options_;
-  DataProcessorStats stats_;  // aggregate; written by serial contexts only
 
   // Guards progress_ and the acc_ *map* (each mapped state is only touched
   // by the one ProcessApp call owning that app).
@@ -179,7 +166,7 @@ class DataProcessor {
   std::map<std::uint64_t, AppProgress> progress_;
   std::map<std::uint64_t, std::unique_ptr<AppAccumulatorState>> acc_;
 
-  // Shared-telemetry handles (null until AttachObservability).
+  // Telemetry handles, bound from construction on (the tracer may be null).
   obs::Tracer* tracer_ = nullptr;
   struct ProcessorCounters {
     obs::Counter* blobs_decoded = nullptr;

@@ -14,37 +14,25 @@ const char* to_string(ServerMode mode) {
   return "?";
 }
 
-void HealthMonitor::AttachObservability(obs::MetricsRegistry* registry,
+void HealthMonitor::AttachObservability(obs::MetricsRegistry& registry,
                                         obs::Tracer* tracer,
                                         obs::StreamId stream) {
   tracer_ = tracer;
   stream_ = stream;
-  if (registry == nullptr) {
-    c_throttled_ = nullptr;
-    c_shed_ = nullptr;
-    c_storage_failures_ = nullptr;
-    c_reprimes_ = nullptr;
-    c_mode_changes_ = nullptr;
-    g_mode_ = nullptr;
-    g_window_used_ = nullptr;
-    return;
-  }
-  c_throttled_ = &registry->counter("server.uploads_throttled");
-  c_shed_ = &registry->counter("server.uploads_shed");
-  c_storage_failures_ = &registry->counter("server.storage_write_failures");
-  c_reprimes_ = &registry->counter("server.reprimes");
-  c_mode_changes_ = &registry->counter("server.mode_changes");
-  g_mode_ = &registry->gauge("server.mode");
-  g_window_used_ = &registry->gauge("server.ingest_window_used");
+  c_throttled_ = &registry.counter("server.uploads_throttled");
+  c_shed_ = &registry.counter("server.uploads_shed");
+  c_storage_failures_ = &registry.counter("server.storage_write_failures");
+  c_reprimes_ = &registry.counter("server.reprimes");
+  c_mode_changes_ = &registry.counter("server.mode_changes");
+  g_mode_ = &registry.gauge("server.mode");
+  g_window_used_ = &registry.gauge("server.ingest_window_used");
 }
 
 void HealthMonitor::SetMode(ServerMode mode, SimTime now) {
   if (mode == mode_) return;
   mode_ = mode;
-  ++mode_changes_total_;
-  if (c_mode_changes_ != nullptr) c_mode_changes_->Inc();
-  if (g_mode_ != nullptr) g_mode_->Set(static_cast<double>(
-      static_cast<std::uint8_t>(mode)));
+  c_mode_changes_->Inc();
+  g_mode_->Set(static_cast<double>(static_cast<std::uint8_t>(mode)));
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Emit(stream_, now, obs::EventKind::kServerModeChanged,
                   static_cast<std::uint64_t>(static_cast<std::uint8_t>(mode)),
@@ -56,7 +44,7 @@ void HealthMonitor::RollWindow(SimTime now) {
   if (now.ms == window_start_.ms) return;
   window_start_ = now;
   used_ = 0;
-  if (g_window_used_ != nullptr) g_window_used_->Set(0.0);
+  g_window_used_->Set(0.0);
   // A new tick is a clean slate: load-driven modes step back to normal
   // (the ladder climbs again only if this tick actually fills up), and a
   // reprimed server has had its quiet remainder-of-tick — resume serving.
@@ -73,8 +61,7 @@ AdmitDecision HealthMonitor::AdmitUpload(SimTime now, SimTime sensed_at) {
     d.admit = false;
     d.retry_after = config_.retry_after + config_.retry_after;
     d.mode = mode_;
-    ++throttled_total_;
-    if (c_throttled_ != nullptr) c_throttled_->Inc();
+    c_throttled_->Inc();
     return d;
   }
 
@@ -94,8 +81,7 @@ AdmitDecision HealthMonitor::AdmitUpload(SimTime now, SimTime sensed_at) {
           // refusing it preserves the remaining budget for fresh uploads.
           d.admit = false;
           d.retry_after = config_.retry_after;
-          ++shed_stale_total_;
-          if (c_shed_ != nullptr) c_shed_->Inc();
+          c_shed_->Inc();
         }
       }
     }
@@ -103,11 +89,9 @@ AdmitDecision HealthMonitor::AdmitUpload(SimTime now, SimTime sensed_at) {
   d.mode = mode_;
   if (d.admit) {
     ++used_;
-    if (g_window_used_ != nullptr)
-      g_window_used_->Set(static_cast<double>(used_));
+    g_window_used_->Set(static_cast<double>(used_));
   } else {
-    ++throttled_total_;
-    if (c_throttled_ != nullptr) c_throttled_->Inc();
+    c_throttled_->Inc();
   }
   return d;
 }
@@ -115,8 +99,7 @@ AdmitDecision HealthMonitor::AdmitUpload(SimTime now, SimTime sensed_at) {
 void HealthMonitor::NoteStorageFailure(SimTime now) {
   RollWindow(now);
   ++failures_this_epoch_;
-  ++storage_failures_total_;
-  if (c_storage_failures_ != nullptr) c_storage_failures_->Inc();
+  c_storage_failures_->Inc();
 }
 
 bool HealthMonitor::ShouldReprime() const {
@@ -126,8 +109,7 @@ bool HealthMonitor::ShouldReprime() const {
 
 void HealthMonitor::NoteReprimed(SimTime now) {
   failures_this_epoch_ = 0;
-  ++reprimes_total_;
-  if (c_reprimes_ != nullptr) c_reprimes_->Inc();
+  c_reprimes_->Inc();
   SetMode(ServerMode::kRecovering, now);
 }
 

@@ -70,12 +70,19 @@ struct AdmitDecision {
 
 class HealthMonitor {
  public:
+  // Every count lands in `registry` ("server.uploads_throttled", ...); the
+  // *_total() readers below are views over those counters.
+  explicit HealthMonitor(obs::MetricsRegistry& registry) {
+    AttachObservability(registry, nullptr, 0);
+  }
+
   void set_config(OverloadConfig config) { config_ = config; }
   [[nodiscard]] const OverloadConfig& config() const { return config_; }
 
-  // Counters land in the shared registry; mode changes trace on the
-  // server's stream. Call from serial setup code.
-  void AttachObservability(obs::MetricsRegistry* registry,
+  // Rebind the counters to `registry` (counts already made stay in the old
+  // one); mode changes trace on the server's stream. Call from serial
+  // setup code.
+  void AttachObservability(obs::MetricsRegistry& registry,
                            obs::Tracer* tracer, obs::StreamId stream);
 
   // Decide one upload's admission at `now`. Rolls the budget window when
@@ -105,19 +112,19 @@ class HealthMonitor {
   [[nodiscard]] ServerMode mode() const { return mode_; }
   [[nodiscard]] std::uint64_t window_used() const { return used_; }
   [[nodiscard]] std::uint64_t throttled_total() const {
-    return throttled_total_;
+    return c_throttled_->value();
   }
   [[nodiscard]] std::uint64_t shed_stale_total() const {
-    return shed_stale_total_;
+    return c_shed_->value();
   }
   [[nodiscard]] std::uint64_t storage_failures_total() const {
-    return storage_failures_total_;
+    return c_storage_failures_->value();
   }
   [[nodiscard]] std::uint64_t reprimes_total() const {
-    return reprimes_total_;
+    return c_reprimes_->value();
   }
   [[nodiscard]] std::uint64_t mode_changes_total() const {
-    return mode_changes_total_;
+    return c_mode_changes_->value();
   }
 
  private:
@@ -129,12 +136,6 @@ class HealthMonitor {
   SimTime window_start_{-1};     // sentinel: first decision rolls the window
   std::uint64_t used_ = 0;       // admissions this window
   int failures_this_epoch_ = 0;  // storage failures since the last reprime
-
-  std::uint64_t throttled_total_ = 0;
-  std::uint64_t shed_stale_total_ = 0;
-  std::uint64_t storage_failures_total_ = 0;
-  std::uint64_t reprimes_total_ = 0;
-  std::uint64_t mode_changes_total_ = 0;
 
   std::map<std::uint64_t, SimTime> last_contact_;
 

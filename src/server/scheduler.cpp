@@ -158,24 +158,28 @@ Result<SchedulePlan> SensingScheduler::PlanApp(
   return plan;
 }
 
-void SensingScheduler::AttachObservability(obs::MetricsRegistry* registry,
+void SensingScheduler::AttachObservability(obs::MetricsRegistry& registry,
                                            obs::Tracer* tracer,
                                            obs::StreamId stream) {
   tracer_ = tracer;
   stream_ = stream;
-  if (registry == nullptr) {
-    obs_ = SchedCounters{};
-    return;
-  }
-  obs_.reschedules = &registry->counter("sched.reschedules");
-  obs_.schedules_distributed =
-      &registry->counter("sched.schedules_distributed");
-  obs_.distribution_failures =
-      &registry->counter("sched.distribution_failures");
-  obs_.gain_evaluations = &registry->counter("sched.gain_evaluations");
-  obs_.last_objective = &registry->gauge("sched.last_objective");
-  obs_.last_average_coverage =
-      &registry->gauge("sched.last_average_coverage");
+  obs_.reschedules = &registry.counter("sched.reschedules");
+  obs_.schedules_distributed = &registry.counter("sched.schedules_distributed");
+  obs_.distribution_failures = &registry.counter("sched.distribution_failures");
+  obs_.gain_evaluations = &registry.counter("sched.gain_evaluations");
+  obs_.last_objective = &registry.gauge("sched.last_objective");
+  obs_.last_average_coverage = &registry.gauge("sched.last_average_coverage");
+}
+
+SchedulerStats SensingScheduler::stats() const {
+  SchedulerStats s;
+  s.reschedules = obs_.reschedules->value();
+  s.schedules_distributed = obs_.schedules_distributed->value();
+  s.distribution_failures = obs_.distribution_failures->value();
+  s.gain_evaluations = obs_.gain_evaluations->value();
+  s.last_objective = obs_.last_objective->value();
+  s.last_average_coverage = obs_.last_average_coverage->value();
+  return s;
 }
 
 void SensingScheduler::PersistTaskRow(
@@ -213,17 +217,11 @@ Status SensingScheduler::DistributePlan(const ApplicationRecord& app,
   if (plan.empty) return Status::Ok();
   PlanState& st = plan_states_.at(app.id.value());
 
-  ++stats_.reschedules;
-  stats_.last_objective = plan.objective_delta;
-  stats_.last_average_coverage =
-      plan.total_coverage / static_cast<double>(plan.grid.size());
-  stats_.gain_evaluations += plan.gain_evaluations;
-  if (obs_.reschedules != nullptr) {
-    obs_.reschedules->Inc();
-    obs_.gain_evaluations->Inc(plan.gain_evaluations);
-    obs_.last_objective->Set(stats_.last_objective);
-    obs_.last_average_coverage->Set(stats_.last_average_coverage);
-  }
+  obs_.reschedules->Inc();
+  obs_.gain_evaluations->Inc(plan.gain_evaluations);
+  obs_.last_objective->Set(plan.objective_delta);
+  obs_.last_average_coverage->Set(plan.total_coverage /
+                                  static_cast<double>(plan.grid.size()));
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
   if (tracing) {
     // The planning milestone is emitted here, not from PlanApp: PlanApp may
@@ -267,9 +265,7 @@ Status SensingScheduler::DistributePlan(const ApplicationRecord& app,
     Result<Message> reply =
         network_.Send(origin_, "phone:" + rec.token.value, msg);
     if (reply.ok()) {
-      ++stats_.schedules_distributed;
-      if (obs_.schedules_distributed != nullptr)
-        obs_.schedules_distributed->Inc();
+      obs_.schedules_distributed->Inc();
       if (tracing) {
         tracer_->Emit(stream_, clock_.now(),
                       obs::EventKind::kScheduleDistributed, rec.task.value(),
@@ -278,9 +274,7 @@ Status SensingScheduler::DistributePlan(const ApplicationRecord& app,
       st.unsent.erase(rec.task.value());
       (void)participations.MarkRunning(rec.task);
     } else {
-      ++stats_.distribution_failures;
-      if (obs_.distribution_failures != nullptr)
-        obs_.distribution_failures->Inc();
+      obs_.distribution_failures->Inc();
       SOR_LOG(kWarn, "scheduler",
               "failed to distribute schedule for task "
                   << rec.task.str() << ": " << reply.error().str());

@@ -36,6 +36,7 @@
 #include "common/sim_time.hpp"
 #include "db/database.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "sched/incremental.hpp"
 #include "server/managers.hpp"
 
@@ -52,6 +53,7 @@ struct SchedulerOptions {
   bool incremental = true;
 };
 
+// A view over the "sched.*" metrics of the scheduler's registry.
 struct SchedulerStats {
   std::uint64_t reschedules = 0;
   std::uint64_t schedules_distributed = 0;
@@ -89,10 +91,14 @@ class SensingScheduler {
  public:
   // `origin` names the sending endpoint so per-link fault rules and
   // transport stats can attribute schedule distributions to this server.
+  // Counts land in `registry` until AttachObservability rebinds them.
   SensingScheduler(db::Database& database, net::LoopbackNetwork& network,
-                   const SimClock& clock, std::string origin = "server")
+                   const SimClock& clock, obs::MetricsRegistry& registry,
+                   std::string origin = "server")
       : db_(database), network_(network), clock_(clock),
-        origin_(std::move(origin)) {}
+        origin_(std::move(origin)) {
+    AttachObservability(registry, nullptr, 0);
+  }
 
   // Algorithm/options are latched into an app's planner when its state is
   // first created — set them before the campaign starts.
@@ -155,13 +161,16 @@ class SensingScheduler {
   // Drain the dirty set (ascending app id).
   [[nodiscard]] std::vector<std::uint64_t> TakeDirtyApps();
 
-  [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
+  // Read from the "sched.*" metrics, so it sees only counts made since the
+  // last rebind (and since the registry's last Reset()).
+  [[nodiscard]] SchedulerStats stats() const;
 
-  // Hook into the shared telemetry: "sched.*" counters/gauges plus plan/
-  // commit/distribute events on the owning server's stream. DistributePlan
-  // is the only emitting path and it always runs serially, so single-cell
-  // counters and one shared stream are safe and deterministic.
-  void AttachObservability(obs::MetricsRegistry* registry, obs::Tracer* tracer,
+  // Rebind the "sched.*" counters/gauges to `registry` (counts already made
+  // stay in the old one) and emit plan/commit/distribute events on the
+  // owning server's stream. DistributePlan is the only counting and emitting
+  // path and it always runs serially, so single-cell counters and one
+  // shared stream are safe and deterministic.
+  void AttachObservability(obs::MetricsRegistry& registry, obs::Tracer* tracer,
                            obs::StreamId stream);
 
   // After a snapshot restore, skip schedule ids already in the table.
@@ -209,11 +218,10 @@ class SensingScheduler {
   bool deferred_ = false;
   std::set<std::uint64_t> dirty_;  // apps awaiting a deferred reschedule
   std::map<std::uint64_t, PlanState> plan_states_;
-  SchedulerStats stats_;
   IdGenerator<ScheduleId> schedule_ids_;
   DeltaObserver delta_observer_;
 
-  // Shared-telemetry handles (null until AttachObservability).
+  // Telemetry handles, bound from construction on (the tracer may be null).
   obs::Tracer* tracer_ = nullptr;
   obs::StreamId stream_ = 0;
   struct SchedCounters {

@@ -20,8 +20,10 @@ SensingServer::SensingServer(ServerConfig config,
       users_(db_),
       apps_(db_),
       parts_(db_, clock_),
-      scheduler_(db_, network_, clock_, config_.endpoint_name),
-      processor_(db_) {
+      scheduler_(db_, network_, clock_, own_registry_, config_.endpoint_name),
+      processor_(db_, own_registry_),
+      health_(own_registry_) {
+  AttachObservability(nullptr, nullptr);
   db::MakeSorSchema(db_);
   health_.set_config(config_.overload);
   network_.Register(config_.endpoint_name, this);
@@ -31,33 +33,45 @@ SensingServer::~SensingServer() { network_.Unregister(config_.endpoint_name); }
 
 void SensingServer::AttachObservability(obs::MetricsRegistry* registry,
                                         obs::Tracer* tracer) {
-  registry_ = registry;
+  registry_ = registry != nullptr ? registry : &own_registry_;
   tracer_ = tracer;
   if (tracer_ != nullptr)
     stream_ = tracer_->RegisterStream(config_.endpoint_name);
-  scheduler_.AttachObservability(registry, tracer, stream_);
-  processor_.AttachObservability(registry, tracer);
-  health_.AttachObservability(registry, tracer, stream_);
-  db_.AttachObservability(registry);
-  if (registry == nullptr) {
-    obs_ = ServerCounters{};
-    return;
-  }
-  obs_.requests_handled = &registry->counter("server.requests_handled");
-  obs_.decode_failures = &registry->counter("server.decode_failures");
-  obs_.uploads_stored = &registry->counter("server.uploads_stored");
-  obs_.uploads_deduped = &registry->counter("server.uploads_deduped");
-  obs_.participations_accepted =
-      &registry->counter("server.participations_accepted");
-  obs_.participations_rejected =
-      &registry->counter("server.participations_rejected");
-  obs_.recoveries = &registry->counter("server.recoveries");
-  obs_.resyncs_triggered = &registry->counter("server.resyncs_triggered");
-  obs_.upload_batch_tuples = &registry->histogram(
+  scheduler_.AttachObservability(*registry_, tracer, stream_);
+  processor_.AttachObservability(*registry_, tracer);
+  health_.AttachObservability(*registry_, tracer, stream_);
+  db_.AttachObservability(registry_);
+  obs::MetricsRegistry& r = *registry_;
+  obs_.requests_handled = &r.counter("server.requests_handled");
+  obs_.decode_failures = &r.counter("server.decode_failures");
+  obs_.uploads_stored = &r.counter("server.uploads_stored");
+  obs_.uploads_deduped = &r.counter("server.uploads_deduped");
+  obs_.participations_accepted = &r.counter("server.participations_accepted");
+  obs_.participations_rejected = &r.counter("server.participations_rejected");
+  obs_.recoveries = &r.counter("server.recoveries");
+  obs_.resyncs_triggered = &r.counter("server.resyncs_triggered");
+  obs_.upload_batch_tuples = &r.histogram(
       "server.upload_batch_tuples", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   // 1µs .. ~4s exponential range, as core.merge_wait_ns.
-  obs_.pass_ns = &registry->histogram("processor.pass_ns",
-                                      obs::ExponentialBuckets(1000.0, 4.0, 12));
+  obs_.pass_ns = &r.histogram("processor.pass_ns",
+                              obs::ExponentialBuckets(1000.0, 4.0, 12));
+}
+
+ServerStats SensingServer::stats() const {
+  ServerStats s;
+  s.requests_handled = obs_.requests_handled->value();
+  s.decode_failures = obs_.decode_failures->value();
+  s.uploads_stored = obs_.uploads_stored->value();
+  s.participations_accepted = obs_.participations_accepted->value();
+  s.participations_rejected = obs_.participations_rejected->value();
+  s.duplicate_uploads_ignored = obs_.uploads_deduped->value();
+  s.recoveries = obs_.recoveries->value();
+  s.resyncs_triggered = obs_.resyncs_triggered->value();
+  s.uploads_throttled = health_.throttled_total();
+  s.uploads_shed_stale = health_.shed_stale_total();
+  s.storage_write_failures = health_.storage_failures_total();
+  s.reprimes = health_.reprimes_total();
+  return s;
 }
 
 void SensingServer::Trace(obs::EventKind kind, std::uint64_t a,
@@ -78,12 +92,10 @@ Result<int> SensingServer::ProcessAllData() {
   // histogram excluded from trace fingerprints, never simulation state.
   const auto start = std::chrono::steady_clock::now();  // det-lint: allow
   Result<int> processed = ProcessEveryApp();
-  if (obs_.pass_ns != nullptr) {
-    obs_.pass_ns->Observe(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)  // det-lint: allow
-            .count()));
-  }
+  obs_.pass_ns->Observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)  // det-lint: allow
+          .count()));
   return processed;
 }
 
@@ -107,19 +119,16 @@ Result<int> SensingServer::ProcessEveryApp() {
   }
 
   // Parallel path: one ProcessApp per app; per-app row sets are disjoint,
-  // and each call fills its own stats sink — no shared mutable state, no
-  // mutex. The serial loop stops at the first failure; here every app
-  // runs, then the first error *in app order* is reported — same error,
-  // same total when everything succeeds (integer sum is order-independent).
-  // The sinks merge after the barrier in app order, so the aggregate
-  // matches the serial accumulation exactly.
+  // and each call flushes its counts into per-thread counter cells — no
+  // shared mutable state, no mutex. The serial loop stops at the first
+  // failure; here every app runs, then the first error *in app order* is
+  // reported — same error, same total when everything succeeds (integer
+  // sums, the total and the counters alike, are order-independent).
   std::vector<std::optional<Result<int>>> results(all.size());
-  std::vector<DataProcessorStats> sinks(all.size());
   const SimTime now = clock_.now();
   executor_->ParallelFor(all.size(), [&](std::size_t i) {
-    results[i] = processor_.ProcessApp(all[i], now, &sinks[i]);
+    results[i] = processor_.ProcessApp(all[i], now);
   });
-  for (const DataProcessorStats& sink : sinks) processor_.MergeStats(sink);
   int total = 0;
   for (const std::optional<Result<int>>& r : results) {
     if (!r.has_value()) continue;
@@ -231,15 +240,13 @@ Result<int> SensingServer::VerifyParticipants(AppId app_id) {
 }
 
 Bytes SensingServer::HandleFrame(std::span<const std::uint8_t> frame) {
-  ++stats_.requests_handled;
-  if (obs_.requests_handled != nullptr) obs_.requests_handled->Inc();
+  obs_.requests_handled->Inc();
   Result<FrameView> split = SplitFrame(frame);
   Result<Message> decoded =
       split.ok() ? DecodeBody(split.value().type, split.value().body)
                  : Result<Message>(split.error());
   if (!decoded.ok()) {
-    ++stats_.decode_failures;
-    if (obs_.decode_failures != nullptr) obs_.decode_failures->Inc();
+    obs_.decode_failures->Inc();
     return EncodeFrame(
         ErrorReply{static_cast<std::uint8_t>(decoded.error().code),
                    decoded.error().message});
@@ -263,25 +270,19 @@ Message SensingServer::HandleMessage(const Message& m,
 Message SensingServer::OnParticipation(const ParticipationRequest& req) {
   Result<ApplicationRecord> app = apps_.Get(req.app);
   if (!app.ok()) {
-    ++stats_.participations_rejected;
-    if (obs_.participations_rejected != nullptr)
-      obs_.participations_rejected->Inc();
+    obs_.participations_rejected->Inc();
     Trace(obs::EventKind::kParticipationRejected, req.app.value());
     return ParticipationReply{TaskId{}, false, app.error().str()};
   }
   Result<TaskId> task = parts_.HandleRequest(req, app.value(), users_);
   if (!task.ok()) {
-    ++stats_.participations_rejected;
-    if (obs_.participations_rejected != nullptr)
-      obs_.participations_rejected->Inc();
+    obs_.participations_rejected->Inc();
     Trace(obs::EventKind::kParticipationRejected, req.app.value());
     SOR_LOG(kInfo, "server",
             "participation rejected: " << task.error().str());
     return ParticipationReply{TaskId{}, false, task.error().str()};
   }
-  ++stats_.participations_accepted;
-  if (obs_.participations_accepted != nullptr)
-    obs_.participations_accepted->Inc();
+  obs_.participations_accepted->Inc();
   Trace(obs::EventKind::kParticipationAccepted, task.value().value(),
         req.app.value());
 
@@ -323,8 +324,7 @@ Message SensingServer::OnUpload(const SensedDataUpload& upload,
   if (upload.seq != 0) {
     const auto it = seen_upload_seqs_.find(upload.task.value());
     if (it != seen_upload_seqs_.end() && it->second.contains(upload.seq)) {
-      ++stats_.duplicate_uploads_ignored;
-      if (obs_.uploads_deduped != nullptr) obs_.uploads_deduped->Inc();
+      obs_.uploads_deduped->Inc();
       Trace(obs::EventKind::kUploadDeduped, upload.task.value(), upload.seq,
             rec.value().app.value());
       return Ack{upload.task.value(), upload.seq};
@@ -339,9 +339,6 @@ Message SensingServer::OnUpload(const SensedDataUpload& upload,
     sensed_at = std::max(sensed_at, t.t);
   const AdmitDecision adm = health_.AdmitUpload(clock_.now(), sensed_at);
   if (!adm.admit) {
-    ++stats_.uploads_throttled;
-    if (adm.stale && adm.mode == ServerMode::kThrottling)
-      ++stats_.uploads_shed_stale;
     Trace(adm.stale ? obs::EventKind::kUploadShed
                     : obs::EventKind::kUploadThrottled,
           upload.task.value(), upload.seq,
@@ -364,7 +361,6 @@ Message SensingServer::OnUpload(const SensedDataUpload& upload,
     // data is intact on the phone and a later retry may find the store
     // healthy again — and let the watchdog decide whether the pile-up
     // warrants quarantine-and-reprime.
-    ++stats_.storage_write_failures;
     health_.NoteStorageFailure(clock_.now());
     Trace(obs::EventKind::kStorageWriteFailed, upload.task.value(),
           upload.seq);
@@ -381,12 +377,8 @@ Message SensingServer::OnUpload(const SensedDataUpload& upload,
   // sees new work without probing the raw table.
   processor_.NoteUploadStored(rec.value().app,
                               static_cast<std::int64_t>(raw_id));
-  ++stats_.uploads_stored;
-  if (obs_.uploads_stored != nullptr) {
-    obs_.uploads_stored->Inc();
-    obs_.upload_batch_tuples->Observe(
-        static_cast<double>(upload.batches.size()));
-  }
+  obs_.uploads_stored->Inc();
+  obs_.upload_batch_tuples->Observe(static_cast<double>(upload.batches.size()));
   // The db-commit milestone of the upload span: the raw_data row exists.
   Trace(obs::EventKind::kUploadStored, upload.task.value(), upload.seq,
         rec.value().app.value());
@@ -495,8 +487,7 @@ void SensingServer::MaybeResyncAfterRestart(TaskId task) {
     return;
   }
   (void)parts_.MarkRunning(task);
-  ++stats_.resyncs_triggered;
-  if (obs_.resyncs_triggered != nullptr) obs_.resyncs_triggered->Inc();
+  obs_.resyncs_triggered->Inc();
   needs_resync_.erase(task);
 }
 
@@ -541,7 +532,6 @@ void SensingServer::Reprime() {
   // failed writes — and rebuild all of it from the current tables, the
   // same walk a snapshot restore does, minus the restore.
   RebuildDerivedState();
-  ++stats_.reprimes;
   health_.NoteReprimed(clock_.now());
   Trace(obs::EventKind::kServerReprimed,
         db_.table(db::tables::kRawData)->size());
@@ -590,8 +580,7 @@ Status SensingServer::RestoreFromSnapshot(
       needs_resync_.insert(rec.task);
   }
 
-  ++stats_.recoveries;
-  if (obs_.recoveries != nullptr) obs_.recoveries->Inc();
+  obs_.recoveries->Inc();
   Trace(obs::EventKind::kServerRestored,
         db_.table(db::tables::kRawData)->size());
   SOR_LOG(kInfo, "server",

@@ -43,6 +43,7 @@ struct ServerConfig {
   OverloadConfig overload;
 };
 
+// A view over the "server.*" counters of the server's registry.
 struct ServerStats {
   std::uint64_t requests_handled = 0;
   std::uint64_t decode_failures = 0;
@@ -51,12 +52,13 @@ struct ServerStats {
   std::uint64_t participations_rejected = 0;
   // Retried uploads whose (task, seq) was already stored: acknowledged
   // again, but neither re-inserted nor re-billed against the budget.
-  std::uint64_t duplicate_uploads_ignored = 0;
+  std::uint64_t duplicate_uploads_ignored = 0;  // server.uploads_deduped
   std::uint64_t recoveries = 0;        // successful RestoreFromSnapshot calls
   std::uint64_t resyncs_triggered = 0; // post-restart schedule re-pushes
-  // Overload + storage-fault accounting (docs/robustness.md).
+  // Overload + storage-fault accounting (docs/robustness.md), counted by
+  // the HealthMonitor.
   std::uint64_t uploads_throttled = 0;      // admission refused, hint sent
-  std::uint64_t uploads_shed_stale = 0;     // subset shed for being stale
+  std::uint64_t uploads_shed_stale = 0;     // server.uploads_shed: stale subset
   std::uint64_t storage_write_failures = 0; // raw_data insert failed
   std::uint64_t reprimes = 0;               // quarantine-and-reprime runs
 };
@@ -82,7 +84,9 @@ class SensingServer final : public net::Endpoint {
   [[nodiscard]] SensingScheduler& scheduler() { return scheduler_; }
   [[nodiscard]] DataProcessor& data_processor() { return processor_; }
   [[nodiscard]] HealthMonitor& health() { return health_; }
-  [[nodiscard]] const ServerStats& stats() const { return stats_; }
+  // Read from the server's registry, so it sees only counts made since the
+  // last AttachObservability (and since that registry's last Reset()).
+  [[nodiscard]] ServerStats stats() const;
 
   // Swap the overload policy (serial code only; chaos drivers use this).
   void set_overload(const OverloadConfig& overload) {
@@ -97,24 +101,25 @@ class SensingServer final : public net::Endpoint {
   // Run the Data Processor over every application (the "periodic check").
   // With an executor attached, apps are processed in parallel: each app's
   // row set is disjoint and reads take the table locks shared. Each app
-  // counts into its own stats sink, folded in app order after the barrier;
-  // the one table every app writes is feature_data, whose rows change under
-  // the table's exclusive lock and whose writes() counter is atomic.
-  // Results (features, accumulator cursors, returned total) are independent
-  // of thread count. Each call's wall time lands in the "processor.pass_ns"
-  // histogram of the attached registry (telemetry only, never traced).
+  // flushes its counts once into the per-thread "processor.*" counters; the
+  // one table every app writes is feature_data, whose rows change under the
+  // table's exclusive lock and whose writes() counter is atomic. Results
+  // (features, accumulator cursors, counters, returned total) are
+  // independent of thread count. Each call's wall time lands in the
+  // "processor.pass_ns" histogram (telemetry only, never traced).
   Result<int> ProcessAllData();
 
   // Borrow a worker pool for ProcessAllData / FlushReschedules. Not owned;
   // nullptr (the default) restores the serial path.
   void set_executor(ShardedExecutor* executor) { executor_ = executor; }
 
-  // Hook the server (and its scheduler + data processor) into the shared
-  // telemetry. The server's handler runs only inside the epoch merge pass
-  // (or from serial code), so its "server.*"/"sched.*" counters are
-  // single-cell and its trace stream stays single-writer. Call from serial
-  // code; safe to call again after a Tracer::Clear() to re-register
-  // streams.
+  // Rebind the server, its scheduler, data processor, health monitor and
+  // database to `registry`, or back to the server's private registry for
+  // nullptr; counts already made stay in the registry that received them.
+  // The server's handler runs only inside the epoch merge pass (or from
+  // serial code), so its "server.*"/"sched.*" counters are single-cell and
+  // its trace stream stays single-writer. Call from serial code; safe to
+  // call again after a Tracer::Clear() to re-register streams.
   void AttachObservability(obs::MetricsRegistry* registry,
                            obs::Tracer* tracer);
 
@@ -198,6 +203,9 @@ class SensingServer final : public net::Endpoint {
   net::LoopbackNetwork& network_;
   const SimClock& clock_;
 
+  // Where the components count until AttachObservability names another
+  // registry; declared before them so they can bind to it on construction.
+  obs::MetricsRegistry own_registry_;
   db::Database db_;
   UserInfoManager users_;
   ApplicationManager apps_;
@@ -206,13 +214,12 @@ class SensingServer final : public net::Endpoint {
   DataProcessor processor_;
   HealthMonitor health_;
   ShardedExecutor* executor_ = nullptr;  // not owned
-  ServerStats stats_;
   IdGenerator<ScheduleId> raw_ids_;  // raw_data PK source
 
-  // Shared-telemetry handles (null until AttachObservability). The registry
-  // is kept so the database's counters can be re-attached after a restore
-  // replaces db_ wholesale.
-  obs::MetricsRegistry* registry_ = nullptr;
+  // Telemetry handles. The registry (never null: own_registry_ or the one
+  // attached) is kept so the database's counters can be re-attached after
+  // a restore replaces db_ wholesale. The tracer may be null.
+  obs::MetricsRegistry* registry_ = &own_registry_;
   obs::Tracer* tracer_ = nullptr;
   obs::StreamId stream_ = 0;
   struct ServerCounters {

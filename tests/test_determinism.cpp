@@ -97,6 +97,66 @@ FieldTestConfig SmallConfig(std::uint64_t seed) {
   return c;
 }
 
+// The lossy wire with a one-minute partition of the chaos matrices.
+FieldTestConfig LossyConfig() {
+  FieldTestConfig config = SmallConfig(3);
+  net::FaultRule lossy;
+  lossy.drop = 0.3;
+  lossy.corrupt = 0.2;
+  lossy.duplicate = 0.2;
+  net::FaultRule partition;
+  partition.partition = SimInterval{SimTime{600'000}, SimTime{660'000}};
+  config.chaos_rules = {lossy, partition};
+  config.chaos_seed = 17;
+  return config;
+}
+
+// Node churn: phone crashes and uninstalls, server stalls.
+FieldTestConfig ChurnConfig(std::uint64_t node_seed) {
+  FieldTestConfig config = SmallConfig(7);
+  net::NodeFaultRule phones;
+  phones.endpoint = "phone:*";
+  phones.crash = 0.01;
+  phones.restart_after = SimDuration{30'000};
+  phones.uninstall = 0.004;
+  phones.reinstall_after = SimDuration{40'000};
+  net::NodeFaultRule server;
+  server.endpoint = "server";
+  server.stall = 0.02;
+  server.stall_for = SimDuration{20'000};
+  config.node_rules = {phones, server};
+  config.node_seed = node_seed;
+  config.drain_ticks = 12;
+  return config;
+}
+
+// Sustained overload: 12 phones want ~12 admissions per tick, the budget
+// is 5 (2.4x).
+FieldTestConfig ThrottleConfig(std::uint64_t seed) {
+  FieldTestConfig config = SmallConfig(seed);
+  config.overload.ingest_budget = 5;
+  config.overload.throttle_at = 0.6;
+  config.overload.stale_after = SimDuration{15'000};
+  config.overload.retry_after = SimDuration{12'000};
+  config.phone_retry_budget = 12;
+  config.drain_ticks = 40;
+  return config;
+}
+
+// Seeded raw_data write failures that trigger quarantine-and-reprime (the
+// rule of Chaos.StorageWriteFaultsReprimeAndConverge).
+FieldTestConfig StorageFaultConfig(std::uint64_t seed) {
+  FieldTestConfig config = SmallConfig(seed);
+  db::StorageFaultRule flaky;
+  flaky.table = db::tables::kRawData;
+  flaky.write_fail = 0.15;
+  config.storage_rules = {flaky};
+  config.storage_seed = 23;
+  config.overload.reprime_after_failures = 3;
+  config.drain_ticks = 20;
+  return config;
+}
+
 std::string RunFingerprint(const world::Scenario& scenario,
                            FieldTestConfig config, int threads) {
   config.threads = threads;
@@ -138,15 +198,7 @@ TEST(Determinism, ChaosScheduleIdenticalAcrossThreadCounts) {
   // schedule itself is part of the contract: a dropped frame must be THE
   // SAME dropped frame at every thread count.
   const world::Scenario scenario = SmallCoffee();
-  FieldTestConfig config = SmallConfig(3);
-  net::FaultRule lossy;
-  lossy.drop = 0.3;
-  lossy.corrupt = 0.2;
-  lossy.duplicate = 0.2;
-  net::FaultRule partition;
-  partition.partition = SimInterval{SimTime{600'000}, SimTime{660'000}};
-  config.chaos_rules = {lossy, partition};
-  config.chaos_seed = 17;
+  const FieldTestConfig config = LossyConfig();
 
   const std::string serial = RunFingerprint(scenario, config, 1);
   for (int threads : {2, 8}) {
@@ -163,20 +215,7 @@ TEST(Determinism, ChurnScheduleIdenticalAcrossThreadCounts) {
   const world::Scenario scenario = SmallCoffee();
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("node seed " + std::to_string(seed));
-    FieldTestConfig config = SmallConfig(7);
-    net::NodeFaultRule phones;
-    phones.endpoint = "phone:*";
-    phones.crash = 0.01;
-    phones.restart_after = SimDuration{30'000};
-    phones.uninstall = 0.004;
-    phones.reinstall_after = SimDuration{40'000};
-    net::NodeFaultRule server;
-    server.endpoint = "server";
-    server.stall = 0.02;
-    server.stall_for = SimDuration{20'000};
-    config.node_rules = {phones, server};
-    config.node_seed = seed;
-    config.drain_ticks = 12;
+    const FieldTestConfig config = ChurnConfig(seed);
 
     const std::string serial = RunFingerprint(scenario, config, 1);
     for (int threads : {2, 8}) {
@@ -194,13 +233,7 @@ TEST(Determinism, ThrottleScheduleIdenticalAcrossThreadCounts) {
   const world::Scenario scenario = SmallCoffee();
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    FieldTestConfig config = SmallConfig(seed);
-    config.overload.ingest_budget = 5;  // 12 phones want ~12/tick: 2.4x
-    config.overload.throttle_at = 0.6;
-    config.overload.stale_after = SimDuration{15'000};
-    config.overload.retry_after = SimDuration{12'000};
-    config.phone_retry_budget = 12;
-    config.drain_ticks = 40;
+    const FieldTestConfig config = ThrottleConfig(seed);
 
     const std::string serial = RunFingerprint(scenario, config, 1);
     for (int threads : {2, 8}) {
@@ -261,15 +294,7 @@ TEST(Determinism, IncrementalMatchesColdReplanUnderChaos) {
   // Chaos faults make distribution fail mid-plan and trigger resyncs; the
   // planner must still track the cold-replan oracle bit for bit.
   const world::Scenario scenario = SmallCoffee();
-  FieldTestConfig config = SmallConfig(3);
-  net::FaultRule lossy;
-  lossy.drop = 0.3;
-  lossy.corrupt = 0.2;
-  lossy.duplicate = 0.2;
-  net::FaultRule partition;
-  partition.partition = SimInterval{SimTime{600'000}, SimTime{660'000}};
-  config.chaos_rules = {lossy, partition};
-  config.chaos_seed = 17;
+  const FieldTestConfig config = LossyConfig();
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     EXPECT_EQ(RunModeFingerprint(scenario, config, threads, true),
@@ -289,21 +314,8 @@ TEST(Determinism, IncrementalMatchesColdReplanUnderChurn) {
   const world::Scenario scenario = SmallCoffee();
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE("node seed " + std::to_string(seed));
-    FieldTestConfig config = SmallConfig(7);
+    FieldTestConfig config = ChurnConfig(seed);
     if (seed > 5) config.sigma_s = 15.0;
-    net::NodeFaultRule phones;
-    phones.endpoint = "phone:*";
-    phones.crash = 0.01;
-    phones.restart_after = SimDuration{30'000};
-    phones.uninstall = 0.004;
-    phones.reinstall_after = SimDuration{40'000};
-    net::NodeFaultRule server;
-    server.endpoint = "server";
-    server.stall = 0.02;
-    server.stall_for = SimDuration{20'000};
-    config.node_rules = {phones, server};
-    config.node_seed = seed;
-    config.drain_ticks = 12;
     for (int threads : {1, 2, 8}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       EXPECT_EQ(RunModeFingerprint(scenario, config, threads, true),
@@ -403,6 +415,113 @@ TEST(Determinism, FieldTestRankingsMatchPinnedText) {
     ASSERT_TRUE(run.ok()) << run.error().str();
     EXPECT_EQ(RenderRankingsText(run.value().matrix, run.value().rankings),
               pinned);
+  }
+}
+
+// The server-side counters of one campaign: the server: and processor:
+// lines of Fingerprint, the scheduler's stats and the health monitor's mode
+// changes.
+std::string ServerCounterLines(const world::Scenario& scenario,
+                               FieldTestConfig config, int threads) {
+  config.threads = threads;
+  System system;
+  Result<FieldTestResult> run = system.RunFieldTest(scenario, config);
+  EXPECT_TRUE(run.ok()) << run.error().str();
+  if (!run.ok()) return "<error>";
+  std::istringstream lines(Fingerprint(run.value()));
+  std::ostringstream os;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("server:") || line.starts_with("processor:"))
+      os << line << '\n';
+  }
+  const server::SchedulerStats sched = system.server().scheduler().stats();
+  os << "sched:" << sched.reschedules << ',' << sched.schedules_distributed
+     << ',' << sched.distribution_failures << ',' << sched.gain_evaluations
+     << ',' << Num(sched.last_objective) << ','
+     << Num(sched.last_average_coverage) << '\n';
+  os << "mode_changes:" << system.server().health().mode_changes_total();
+  return os.str();
+}
+
+TEST(Determinism, ServerStatsMatchPinnedValues) {
+  // Thread invariance alone passes a change that counts an event twice, or
+  // not at all, at every thread count. These values pin the counts
+  // themselves, over the fault configs that move the most counters.
+  struct Pin {
+    const char* config;
+    const char* scenario;
+    const char* counters;
+  };
+  const Pin pins[] = {
+      {"lossy", "coffee",
+       "server:660,127,240,12,0,269,0,0,0,0,0,0\n"
+       "processor:240,0,960,12,0\n"
+       "sched:24,12,0,6276,0,0.99999969142079936\n"
+       "mode_changes:0"},
+      {"lossy", "trails",
+       "server:486,91,180,9,0,197,0,0,0,0,0,0\n"
+       "processor:180,0,900,15,0\n"
+       "sched:18,9,0,4791,0,0.9999824444229054\n"
+       "mode_changes:0"},
+      {"churn", "coffee",
+       "server:307,0,265,30,0,0,0,0,0,0,0,0\n"
+       "processor:265,0,1060,12,0\n"
+       "sched:42,30,0,7883,0,0.9999998379476428\n"
+       "mode_changes:0"},
+      {"churn", "trails",
+       "server:267,0,188,21,50,0,0,0,0,0,0,0\n"
+       "processor:188,0,940,15,0\n"
+       "sched:29,21,0,5699,0,0.9999824444229054\n"
+       "mode_changes:0"},
+      {"throttle", "coffee",
+       "server:283,0,240,12,0,0,0,0,19,3,0,0\n"
+       "processor:240,0,960,12,0\n"
+       "sched:24,12,0,6276,0,0.99999969142079936\n"
+       "mode_changes:47"},
+      {"throttle", "trails",
+       "server:204,0,180,9,0,0,0,0,6,0,0,0\n"
+       "processor:180,0,900,15,0\n"
+       "sched:18,9,0,4791,0,0.9999824444229054\n"
+       "mode_changes:18"},
+      {"storage", "coffee",
+       "server:327,0,240,12,0,0,0,0,20,0,43,14\n"
+       "processor:240,0,960,12,0\n"
+       "sched:24,12,0,6276,0,0.99999969142079936\n"
+       "mode_changes:28"},
+      {"storage", "trails",
+       "server:236,0,180,9,0,0,0,0,6,0,32,10\n"
+       "processor:180,0,900,15,0\n"
+       "sched:18,9,0,4791,0,0.9999824444229054\n"
+       "mode_changes:20"},
+      {"stay", "coffee",
+       "server:252,0,240,12,0,0,0,0,0,0,0,0\n"
+       "processor:240,0,960,12,0\n"
+       "sched:12,12,0,6276,0.0020696397472761419,0.99999969142079936\n"
+       "mode_changes:0"},
+      {"stay", "trails",
+       "server:189,0,180,9,0,0,0,0,0,0,0,0\n"
+       "processor:180,0,900,15,0\n"
+       "sched:9,9,0,4791,0.11309395668639866,0.9999824444229054\n"
+       "mode_changes:0"},
+  };
+
+  for (const Pin& pin : pins) {
+    const std::string name = pin.config;
+    FieldTestConfig config = name == "lossy"      ? LossyConfig()
+                             : name == "churn"    ? ChurnConfig(1)
+                             : name == "throttle" ? ThrottleConfig(1)
+                             : name == "storage"  ? StorageFaultConfig(1)
+                                                  : SmallConfig(1);
+    // Without the final leaves the last delta is a join, so the scheduler's
+    // last_objective gauge ends nonzero.
+    if (name == "stay") config.leave_at_end = false;
+    const world::Scenario scenario =
+        std::string(pin.scenario) == "coffee" ? SmallCoffee() : SmallTrail();
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(name + " " + pin.scenario + " threads " +
+                   std::to_string(threads));
+      EXPECT_EQ(ServerCounterLines(scenario, config, threads), pin.counters);
+    }
   }
 }
 

@@ -535,13 +535,19 @@ TEST(Incremental, ChurnMatchesColdReplanOracle) {
   // The planner's parity contract: incremental q maintenance + windowed
   // lazy heap seeding produce bit-for-bit the plans of a full cold replan
   // from the commit log (tests/planner_oracle.hpp), across random
-  // join/leave churn.
+  // join/leave churn. A huge rebuild_fraction sends every leave through
+  // RepairQAround, whose seq-ordered products the oracle's replay pins:
+  // multiplying the factors in reversed seq order, or in gather (instant)
+  // order, fails seeds 7 and 18 of that input.
   std::vector<SimTime> grid = Problem::UniformGrid(600.0, 60, 10.0).grid;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    IncrementalPlanner inc(grid, PlannerOpts());
-    oracle::ColdReplan cold(grid, 10.0);
-    ExpectLockstep(inc, cold, seed, 100);
+  for (double rebuild_fraction : {0.25, 1e9}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("rebuild_fraction " + std::to_string(rebuild_fraction) +
+                   " seed " + std::to_string(seed));
+      IncrementalPlanner inc(grid, PlannerOpts(rebuild_fraction));
+      oracle::ColdReplan cold(grid, 10.0);
+      ExpectLockstep(inc, cold, seed, 100);
+    }
   }
 }
 

@@ -1306,7 +1306,8 @@ TEST(CrashRecovery, RestoreRebuildsStateAndDedupIndex) {
 // --- overload control (docs/robustness.md) --------------------------------
 
 TEST(HealthMonitor, LadderClimbsWithTheWindowAndDecaysOnQuietTicks) {
-  HealthMonitor hm;
+  obs::MetricsRegistry registry;
+  HealthMonitor hm(registry);
   OverloadConfig cfg;
   cfg.ingest_budget = 4;  // threshold = ceil(0.75 * 4) = 3
   hm.set_config(cfg);
@@ -1338,7 +1339,8 @@ TEST(HealthMonitor, LadderClimbsWithTheWindowAndDecaysOnQuietTicks) {
 }
 
 TEST(HealthMonitor, ShedsStaleBeforeFresh) {
-  HealthMonitor hm;
+  obs::MetricsRegistry registry;
+  HealthMonitor hm(registry);
   OverloadConfig cfg;
   cfg.ingest_budget = 4;
   cfg.stale_after = SimDuration{10'000};
@@ -1362,7 +1364,8 @@ TEST(HealthMonitor, ShedsStaleBeforeFresh) {
 }
 
 TEST(HealthMonitor, StorageFailuresTriggerReprimeAndRecoveringMode) {
-  HealthMonitor hm;
+  obs::MetricsRegistry registry;
+  HealthMonitor hm(registry);
   OverloadConfig cfg;
   cfg.reprime_after_failures = 2;
   hm.set_config(cfg);

@@ -333,10 +333,12 @@ if [[ "${FULL_TSAN}" == "1" ]]; then
 else
   # Default stage: only the tests that exercise threads > 1 — the
   # determinism contract and the chaos battery on the parallel runtime,
-  # the plan oracles' delta observers on FlushReschedules workers, and
-  # tasks on two threads executing the one module they share.
+  # the plan oracles' delta observers on FlushReschedules workers, tasks
+  # on two threads executing the one module they share, and the daemon,
+  # whose dispatcher thread counts into the registry the test thread reads.
   cmake --build --preset tsan -j "$(nproc)" \
-    --target test_determinism test_chaos test_plan_oracle test_phone
+    --target test_determinism test_chaos test_plan_oracle test_phone \
+    test_daemon
   ctest --preset tsan -j "$(nproc)" \
-    -R 'Determinism\.|Chaos\.|PlanOracle\.|TaskCompileCache\.ConcurrentTasks'
+    -R 'Determinism\.|Chaos\.|PlanOracle\.|TaskCompileCache\.ConcurrentTasks|Daemon\.'
 fi
